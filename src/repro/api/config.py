@@ -1,45 +1,36 @@
 """The unified run configuration: :class:`ExecutionConfig` + :func:`resolve_execution`.
 
-Before this layer existed, every entry point threaded three orthogonal
-execution axes -- ``backend="reference"|"vectorized"``,
-``engine="auto"|"dense"|"sparse"``, ``strategy="skeleton"|"clustered"`` --
-plus the collision model and the round-budget knobs (``parameters`` /
-``margin``) as separate keyword arguments, and every new axis meant
-touching every call site.  :class:`ExecutionConfig` collapses the web
-into one validated, immutable value object that `Compete`, `broadcast`,
-`elect_leader`, `decay_broadcast`, `VectorizedCompeteEngine` and the
-benchmark subsystem all accept as a single ``config=``:
+Every execution axis -- ``backend="reference"|"vectorized"``,
+``strategy="skeleton"|"clustered"``, the collision model, the round-budget
+knobs (``parameters`` / ``margin``), the seed policy and the fault
+environment -- lives in one validated, immutable value object that
+`Compete`, `broadcast`, `elect_leader`, `decay_broadcast`,
+`VectorizedCompeteEngine` and the benchmark subsystem all accept as a
+single ``config=``:
 
 >>> from repro.api import ExecutionConfig
->>> config = ExecutionConfig(backend="vectorized", engine="sparse")
->>> config.backend, config.engine, config.strategy
-('vectorized', 'sparse', 'skeleton')
+>>> config = ExecutionConfig(backend="vectorized")
+>>> config.backend, config.strategy
+('vectorized', 'skeleton')
 
 Configs are frozen; derive variants with :meth:`ExecutionConfig.replace`:
 
 >>> config.replace(strategy="clustered").strategy
 'clustered'
->>> config.engine  # the original is untouched
-'sparse'
+>>> config.strategy  # the original is untouched
+'skeleton'
 
 :func:`resolve_execution` is the one shared path that turns a config plus
 a concrete graph into everything a run needs -- the derived
 :class:`~repro.core.parameters.CompeteParameters` round budget, the
 strategy compiled to a
-:class:`~repro.schedules.transmission.TransmissionSchedule`, the
-``"auto"`` engine resolved through the edge-density heuristic
-(:func:`repro.simulation.sparse.select_engine` -- applied here and only
-here for internal callers, so the dense/sparse crossover has a single
-source of truth), and the normalised collision model.  The per-node
-seeding policy (the ``DrawStreams`` replay and its pre-draw block size)
-also lives behind it: :meth:`ResolvedExecution.build_engine` constructs
-the vectorized engine with the config's ``draw_block`` and the already
-concrete kernel.
-
-The legacy per-function kwargs keep working for one release through
-:func:`coerce_execution_config`, which emits a single
-:class:`DeprecationWarning` per call and builds the equivalent config --
-so old call sites produce bit-for-bit identical runs while they migrate.
+:class:`~repro.schedules.transmission.TransmissionSchedule`, and the
+normalised collision model.  The per-node seeding policy (the
+``DrawStreams`` replay and its pre-draw block size) also lives behind
+it: :meth:`ResolvedExecution.build_engine` constructs the vectorized
+engine with the config's ``draw_block``.  The engine's reception kernel
+is not a config axis: it follows from the node count alone
+(:func:`repro.simulation.vectorized.kernel_for`).
 """
 
 from __future__ import annotations
@@ -47,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from typing import Any, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
@@ -63,10 +53,8 @@ from repro.core.compete import (
 )
 from repro.schedules.transmission import TransmissionSchedule
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.sparse import resolve_engine
 from repro.simulation.vectorized import (
     DEFAULT_DRAW_BLOCK,
-    ENGINES,
     VectorizedCompeteEngine,
 )
 from repro.topology.validation import validate_radio_topology
@@ -96,10 +84,6 @@ class ExecutionConfig:
         ``"reference"`` (per-node protocols through the pure-Python
         :class:`~repro.simulation.runner.ProtocolRunner`) or
         ``"vectorized"`` (the round-exact NumPy batch engine).
-    engine:
-        Kernel selector for the vectorized backend: ``"auto"`` (the
-        edge-density heuristic), ``"dense"`` or ``"sparse"``.  Ignored
-        by the reference backend.
     strategy:
         The Compete inner-loop strategy: a registered name
         (:data:`repro.core.compete.STRATEGIES`) or a custom
@@ -136,7 +120,6 @@ class ExecutionConfig:
     """
 
     backend: str = "reference"
-    engine: str = "auto"
     strategy: Union[str, CompeteStrategy] = "skeleton"
     collision_model: Union[str, CollisionModel] = CollisionModel.NO_DETECTION
     parameters: Optional[CompeteParameters] = None
@@ -149,10 +132,6 @@ class ExecutionConfig:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if not isinstance(self.strategy, CompeteStrategy) and (
             self.strategy not in STRATEGIES
@@ -224,7 +203,6 @@ class ExecutionConfig:
         """The config's execution axes as a JSON-friendly dict."""
         description = {
             "backend": self.backend,
-            "engine": self.engine,
             "strategy": self.strategy_name,
             "collision_model": self.collision_model.value,
             "margin": self.margin,
@@ -241,8 +219,8 @@ class ExecutionConfig:
         """A short stable digest of the config's execution axes.
 
         Two configs share an identity exactly when :meth:`describe`
-        agrees -- backend, engine, strategy, collision model, margin and
-        rng policy.  The benchmark report subsystem uses this as the
+        agrees -- backend, strategy, collision model, margin, rng policy
+        and dynamics.  The benchmark report subsystem uses this as the
         join key when matching a candidate artifact to its committed
         baseline, so the digest must stay stable across processes and
         releases (it hashes the canonical JSON form, never ``repr``).
@@ -305,10 +283,9 @@ class ResolvedExecution:
 
     Produced by :func:`resolve_execution`; holds everything downstream
     code needs to run: the validated graph, the derived (or supplied)
-    round budget, the strategy instance, the concrete vectorized kernel
-    (``"auto"`` already resolved through the density heuristic), and --
-    built lazily, because cluster decomposition is not free -- the
-    compiled :class:`TransmissionSchedule`.
+    round budget, the strategy instance, and -- built lazily, because
+    cluster decomposition is not free -- the compiled
+    :class:`TransmissionSchedule`.
     """
 
     def __init__(
@@ -317,13 +294,11 @@ class ResolvedExecution:
         config: ExecutionConfig,
         parameters: CompeteParameters,
         strategy: CompeteStrategy,
-        engine: str,
     ) -> None:
         self._graph = graph
         self._config = config
         self._parameters = parameters
         self._strategy = strategy
-        self._engine = engine
         self._schedule: Optional[TransmissionSchedule] = None
         self._fault_schedule: Optional[FaultSchedule] = None
 
@@ -354,11 +329,6 @@ class ResolvedExecution:
         return self._config.backend
 
     @property
-    def engine(self) -> str:
-        """The concrete vectorized kernel (never ``"auto"``)."""
-        return self._engine
-
-    @property
     def schedule(self) -> TransmissionSchedule:
         """The strategy's compiled schedule (built on first access)."""
         if self._schedule is None:
@@ -383,17 +353,11 @@ class ResolvedExecution:
         return self._fault_schedule
 
     def build_engine(self) -> VectorizedCompeteEngine:
-        """Construct the vectorized engine this resolution describes.
-
-        The engine receives the already-resolved concrete kernel, so the
-        density heuristic is applied exactly once, in
-        :func:`resolve_execution`.
-        """
+        """Construct the vectorized engine this resolution describes."""
         return VectorizedCompeteEngine(
             self._graph,
             schedule=self.schedule,
             max_rounds=self._parameters.total_rounds,
-            engine=self._engine,
             draw_block=self._config.draw_block,
             rng=self._config.rng,
             dynamics=self.fault_schedule,
@@ -402,7 +366,7 @@ class ResolvedExecution:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ResolvedExecution(backend={self.backend!r}, "
-            f"engine={self._engine!r}, strategy={self._strategy.name!r}, "
+            f"strategy={self._strategy.name!r}, "
             f"n={self._graph.num_nodes})"
         )
 
@@ -417,9 +381,7 @@ def resolve_execution(
     """Bind ``config`` (default :class:`ExecutionConfig()`) to ``graph``.
 
     This is the single shared resolution path: topology validation, the
-    round-budget derivation, strategy lookup, and -- crucially -- the
-    ``"auto"`` engine decision all happen here, so every caller agrees
-    on the dense/sparse crossover.
+    round-budget derivation and strategy lookup all happen here.
 
     Parameters
     ----------
@@ -436,8 +398,8 @@ def resolve_execution(
 
     >>> from repro import topology
     >>> resolved = resolve_execution(topology.path_graph(8))
-    >>> resolved.engine, resolved.strategy.name
-    ('dense', 'skeleton')
+    >>> resolved.parameters.num_nodes, resolved.strategy.name
+    (8, 'skeleton')
     """
     if config is None:
         config = ExecutionConfig()
@@ -454,46 +416,4 @@ def resolve_execution(
             f"has n={graph.num_nodes}"
         )
     strategy = config.strategy_instance()
-    engine = resolve_engine(config.engine, graph.num_nodes, graph.num_edges)
-    return ResolvedExecution(graph, config, parameters, strategy, engine)
-
-
-def coerce_execution_config(
-    config: Optional[ExecutionConfig],
-    *,
-    where: str,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> ExecutionConfig:
-    """The deprecation shim behind the old per-function kwargs.
-
-    ``legacy`` holds the old keyword arguments (``backend=``,
-    ``engine=``, ``strategy=``, ``collision_model=``, ``margin=``) with
-    ``None`` meaning "not passed".  When none were passed, ``config``
-    (or a default :class:`ExecutionConfig`) is returned untouched.  When
-    any were, exactly **one** :class:`DeprecationWarning` is emitted --
-    naming every legacy kwarg used and the replacement -- and the
-    equivalent config is built, so old call sites keep producing
-    seed-identical results.  Mixing ``config=`` with legacy kwargs is an
-    error rather than a silent precedence rule.
-    """
-    used = {key: value for key, value in legacy.items() if value is not None}
-    if not used:
-        return config if config is not None else ExecutionConfig()
-    if config is not None:
-        raise ConfigurationError(
-            f"{where}: pass either config= or the deprecated "
-            f"{sorted(used)} keyword(s), not both"
-        )
-    names = ", ".join(f"{key}=" for key in sorted(used))
-    replacement = ", ".join(
-        f"{key}={value!r}" for key, value in sorted(used.items())
-    )
-    warnings.warn(
-        f"{where}: the {names} keyword(s) are deprecated and will be "
-        f"removed in the next release; pass "
-        f"config=ExecutionConfig({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ExecutionConfig(**used)
+    return ResolvedExecution(graph, config, parameters, strategy)

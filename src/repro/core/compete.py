@@ -46,16 +46,15 @@ array operations.  Both consume the same
 the same :class:`CompeteResult` round for round under a shared seed, for
 every (strategy, backend) cell of the matrix;
 :meth:`Compete.run_batch` additionally runs many seeded trials at once on
-the vectorized backend.  The vectorized backend itself has two
-bit-for-bit equivalent kernel **engines** -- the dense adjacency-matrix
-path and the sparse CSR path, which ``engine="auto"`` selects above
-~10^3 nodes on sparse topologies and which opens the ``n >= 10^4``
-scenarios -- a third orthogonal axis (see :mod:`repro.simulation.sparse`).
+the vectorized backend.  The vectorized backend itself runs one of two
+bit-for-bit equivalent reception kernels, picked by node count: the
+dense adjacency-matrix path for small graphs and the sparse CSR path
+(see :mod:`repro.simulation.sparse`), which opens the ``n >= 10^4``
+scenarios.
 
-All three axes, together with the collision model and the round-budget
+Both axes, together with the collision model and the round-budget
 margin, are carried by one :class:`~repro.api.config.ExecutionConfig`
-passed as ``Compete(graph, config=...)``; the old per-axis keyword
-arguments remain as deprecation shims for one release.
+passed as ``Compete(graph, config=...)``.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from repro.network.graph import Graph
 from repro.network.messages import Message, highest_message
 from repro.network.metrics import NetworkMetrics
 from repro.network.protocol import Action, NodeProtocol
-from repro.network.radio import CollisionModel, RadioNetwork
+from repro.network.radio import RadioNetwork
 from repro.core.clustering import (
     DEFAULT_CLUSTER_RADIUS,
     ClusterDecomposition,
@@ -336,20 +335,14 @@ class Compete:
         applied eagerly).
     config:
         The :class:`~repro.api.config.ExecutionConfig` describing every
-        execution axis -- backend, vectorized kernel (engine), strategy,
-        collision model, round-budget margin and seed policy.  ``None``
-        means all defaults (reference backend, auto engine, skeleton
-        strategy, no collision detection).
+        execution axis -- backend, strategy, collision model,
+        round-budget margin, seed policy and fault environment.  ``None``
+        means all defaults (reference backend, skeleton strategy, no
+        collision detection).
     parameters:
         Explicit schedule lengths, overriding both the config's
         ``parameters`` field and the graph-derived budget; useful when
         the caller already knows the diameter.
-    margin / collision_model / strategy / backend / engine:
-        **Deprecated** -- the pre-``ExecutionConfig`` keyword arguments,
-        kept working for one release.  Passing any of them emits a
-        single :class:`DeprecationWarning` and builds the equivalent
-        config (results are seed-identical); mixing them with
-        ``config=`` is an error.
     """
 
     def __init__(
@@ -358,24 +351,12 @@ class Compete:
         *,
         config=None,
         parameters: Optional[CompeteParameters] = None,
-        margin: Optional[float] = None,
-        collision_model: Optional[CollisionModel] = None,
-        strategy: Optional[Union[str, CompeteStrategy]] = None,
-        backend: Optional[str] = None,
-        engine: Optional[str] = None,
     ) -> None:
         # api sits above core in the layering, so the import is local.
-        from repro.api.config import coerce_execution_config, resolve_execution
+        from repro.api.config import ExecutionConfig, resolve_execution
 
-        config = coerce_execution_config(
-            config,
-            where="Compete",
-            margin=margin,
-            collision_model=collision_model,
-            strategy=strategy,
-            backend=backend,
-            engine=engine,
-        )
+        if config is None:
+            config = ExecutionConfig()
         self._resolve_execution = resolve_execution
         self._graph = graph
         self._config = config
@@ -411,27 +392,12 @@ class Compete:
         """The default execution backend of :meth:`run`."""
         return self._config.backend
 
-    @property
-    def engine(self) -> str:
-        """The requested vectorized kernel (possibly ``"auto"``)."""
-        return self._config.engine
-
-    def selected_engine(self) -> str:
-        """The kernel the vectorized backend resolves to for this graph.
-
-        Resolves ``"auto"`` through the shared density heuristic without
-        building the engine (construction densifies the matrix, which is
-        exactly what the heuristic may be avoiding).
-        """
-        return self._resolved().engine
-
     def run(
         self,
         candidates: CandidateSpec,
         *,
         seed: Optional[int] = None,
         spontaneous: bool = False,
-        backend: Optional[str] = None,
     ) -> CompeteResult:
         """Race the candidate messages until one saturates the network.
 
@@ -449,27 +415,8 @@ class Compete:
         spontaneous:
             When True, non-candidate nodes participate from round 0 with
             a dummy message ranked strictly below every candidate.
-        backend:
-            **Deprecated** per-run backend override; construct the
-            instance with ``config=ExecutionConfig(backend=...)``
-            instead.
         """
-        if backend is None:
-            backend = self._config.backend
-        else:
-            import warnings
-
-            warnings.warn(
-                "Compete.run(backend=...) is deprecated; construct Compete "
-                "with config=ExecutionConfig(backend=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if backend == "vectorized":
+        if self._config.backend == "vectorized":
             return self.run_batch(
                 candidates, seeds=[seed], spontaneous=spontaneous
             )[0]
@@ -557,8 +504,8 @@ class Compete:
         All trials share the candidate set and race simultaneously through
         the vectorized engine (one extra array axis, not one Python loop
         per trial).  Each returned :class:`CompeteResult` is identical to
-        what ``run(candidates, seed=s, backend="reference")`` would have
-        produced for the corresponding seed.
+        what :meth:`run` on the reference backend would have produced
+        for the corresponding seed.
         """
         seed_list = list(seeds)
         if not seed_list:
@@ -685,11 +632,6 @@ def compete(
     spontaneous: bool = False,
     config=None,
     parameters: Optional[CompeteParameters] = None,
-    margin: Optional[float] = None,
-    collision_model: Optional[CollisionModel] = None,
-    strategy: Optional[Union[str, CompeteStrategy]] = None,
-    backend: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> CompeteResult:
     """One-shot convenience wrapper around :class:`Compete`.
 
@@ -713,21 +655,6 @@ def compete(
     ...                     config=ExecutionConfig(strategy="clustered"))
     >>> clustered.success and clustered.strategy
     'clustered'
-
-    The ``margin``/``collision_model``/``strategy``/``backend``/``engine``
-    keywords are the deprecated pre-config spelling (one
-    ``DeprecationWarning``, identical results).
     """
-    from repro.api.config import coerce_execution_config
-
-    config = coerce_execution_config(
-        config,
-        where="compete()",
-        margin=margin,
-        collision_model=collision_model,
-        strategy=strategy,
-        backend=backend,
-        engine=engine,
-    )
     primitive = Compete(graph, config=config, parameters=parameters)
     return primitive.run(candidates, seed=seed, spontaneous=spontaneous)

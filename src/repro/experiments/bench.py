@@ -15,7 +15,6 @@ import dataclasses
 import datetime
 import platform
 import time
-import warnings
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from repro.core.leader_election import LeaderElectionResult
 from repro.core.parameters import CompeteParameters
 from repro.experiments.persistence import SCHEMA_VERSION
 from repro.experiments.scenarios import Scenario
+from repro.simulation.vectorized import kernel_for
 
 #: Reference trials re-run for timing/agreement unless overridden.
 DEFAULT_REFERENCE_TRIALS = 2
@@ -86,11 +86,11 @@ def prepare_scenario(
     resolved = resolve_execution(graph, config, parameters=parameters)
     # Force the lazy compilations now, while we are on the cold path:
     # the strategy schedule (cluster decomposition is not free) and the
-    # graph's memoized adjacency structure for the selected kernel, so a
+    # graph's memoized adjacency structure for the engine's kernel, so a
     # cached PreparedScenario starts a warm run without rebuilding
     # either.
     resolved.schedule
-    if resolved.engine == "sparse":
+    if kernel_for(graph.num_nodes) == "sparse":
         graph.adjacency_csr()
     return PreparedScenario(
         scenario=scenario,
@@ -111,7 +111,6 @@ def run_benchmark(
     reference_trials: Optional[int] = None,
     include_reference: bool = True,
     config: Optional[ExecutionConfig] = None,
-    engine: Optional[str] = None,
     workers: Optional[int] = None,
     prepared: Optional[PreparedScenario] = None,
 ) -> dict[str, Any]:
@@ -144,10 +143,6 @@ def run_benchmark(
         benchmark always measures the vectorized backend and re-checks
         the reference).  Defaults to
         :meth:`Scenario.execution_config`.
-    engine:
-        **Deprecated** -- the pre-config kernel override; use
-        ``config=scenario.execution_config(engine=...)``.  One
-        :class:`DeprecationWarning`, identical behaviour.
     workers:
         Shard the vectorized trial batch across this many processes
         (default 1: run in-process).  Seeds are split into contiguous
@@ -196,19 +191,6 @@ def run_benchmark(
     num_workers = workers if workers is not None else 1
     if num_workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {num_workers}")
-    if engine is not None:
-        if config is not None:
-            raise ConfigurationError(
-                "run_benchmark: pass either config= or the deprecated "
-                "engine= keyword, not both"
-            )
-        warnings.warn(
-            "run_benchmark(engine=...) is deprecated; pass "
-            "config=scenario.execution_config(engine=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = scenario.execution_config(engine=engine)
     if config is None:
         config = scenario.execution_config()
     num_trials = per_batch * num_batches
@@ -238,10 +220,6 @@ def run_benchmark(
     graph = prepared.graph
     summary = prepared.summary
     parameters = prepared.parameters
-    # The resolution records exactly the kernel that will run ("auto"
-    # applied through the same shared path the execution takes).
-    requested_engine = config.engine
-    selected_engine = prepared.resolved.engine
 
     effective_workers = min(num_workers, num_trials)
     started = time.perf_counter()
@@ -315,9 +293,10 @@ def run_benchmark(
             "reference": num_reference,
             "base_seed": base_seed,
         },
+        # "requested" is a legacy schema slot: the kernel follows from n.
         "engine": {
-            "requested": requested_engine,
-            "selected": selected_engine,
+            "requested": "auto",
+            "selected": kernel_for(graph.num_nodes),
         },
         "rng": config.rng,
         "workers": effective_workers,

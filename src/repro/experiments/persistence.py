@@ -21,12 +21,16 @@ from typing import Any, Mapping, Optional, Union
 from repro.dynamics import MODEL_KINDS
 from repro.errors import ConfigurationError
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.sparse import ENGINE_KINDS
-from repro.simulation.vectorized import ENGINES
+from repro.simulation.vectorized import KERNELS
 
 #: Identifies the layout of a ``BENCH_*.json`` document.  Bump only with
 #: a migration note in ``docs/EXPERIMENTS.md``.
 SCHEMA_VERSION = "repro-bench/1"
+
+#: The legacy ``engine`` labels a scenario block and ``engine.requested``
+#: may carry.  The kernel now follows from the node count, so new
+#: artifacts write ``"auto"``; older ones may name a kernel.
+ENGINE_LABELS = ("auto",) + KERNELS
 
 #: Statistic blocks summarising a per-trial series.
 _SERIES_KEYS = ("mean", "min", "max")
@@ -106,9 +110,9 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
     if "engine" in scenario:
         _field(scenario, "engine", str, path="scenario.engine")
         _expect(
-            scenario["engine"] in ENGINES,
+            scenario["engine"] in ENGINE_LABELS,
             "scenario.engine",
-            f"must be one of {ENGINES}, got {scenario['engine']!r}",
+            f"must be one of {ENGINE_LABELS}, got {scenario['engine']!r}",
         )
     # Added in PR 6 alongside the top-level rng field.
     if "rng" in scenario:
@@ -164,15 +168,16 @@ def validate_bench(payload: Mapping[str, Any]) -> None:
         engine = _field(payload, "engine", Mapping)
         _field(engine, "requested", str, path="engine.requested")
         _expect(
-            engine["requested"] in ENGINES,
+            engine["requested"] in ENGINE_LABELS,
             "engine.requested",
-            f"must be one of {ENGINES}, got {engine['requested']!r}",
+            f"must be one of {ENGINE_LABELS}, got "
+            f"{engine['requested']!r}",
         )
         _field(engine, "selected", str, path="engine.selected")
         _expect(
-            engine["selected"] in ENGINE_KINDS,
+            engine["selected"] in KERNELS,
             "engine.selected",
-            f"must be one of {ENGINE_KINDS} (never 'auto'), got "
+            f"must be one of {KERNELS} (never 'auto'), got "
             f"{engine['selected']!r}",
         )
         _expect(

@@ -166,7 +166,7 @@ def artifact_identity(payload: Mapping[str, Any]) -> str:
     block is documented as sufficient for exactly that) and digests its
     :meth:`~repro.experiments.scenarios.Scenario.execution_config` --
     the PR 5 seam, so every axis that changes what a run *means*
-    (strategy, engine, rng, collision model, margin) changes the key,
+    (strategy, rng, collision model, margin, dynamics) changes the key,
     while presentation fields (description, tags) do not.
     """
     scenario = Scenario.from_dict(payload["scenario"])

@@ -40,8 +40,8 @@ from repro.network.radio import CollisionModel
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
 from repro.core.compete import STRATEGIES
 from repro.core.parameters import DEFAULT_MARGIN
+from repro.experiments.persistence import ENGINE_LABELS
 from repro.simulation.rng import RNG_MODES
-from repro.simulation.vectorized import ENGINES
 from repro import topology
 
 def __getattr__(name: str):
@@ -92,12 +92,12 @@ class Scenario:
         cost-charged cluster schedule).  Scenario pairs differing only
         here measure the strategy's round-count delta.
     engine:
-        Vectorized kernel selector, one of
-        :data:`repro.simulation.vectorized.ENGINES`: ``"auto"`` (the
-        default; the edge-density heuristic picks dense below ~10³ nodes
-        and sparse CSR above), ``"dense"`` or ``"sparse"``.  The kernels
-        are bit-for-bit equivalent, so this only affects time and
-        memory; the benchmark payload records which one actually ran.
+        Legacy label, init-only: one of
+        :data:`~repro.experiments.persistence.ENGINE_LABELS`, validated
+        and then dropped, so older scenario blocks keep loading.  The
+        reception kernel follows from the node count
+        (:func:`repro.simulation.vectorized.kernel_for`); the benchmark
+        payload records which one ran.
     rng:
         Randomness policy, one of
         :data:`repro.simulation.rng.RNG_MODES`: ``"replay"`` (the
@@ -134,7 +134,7 @@ class Scenario:
     collision_model: str = CollisionModel.NO_DETECTION.value
     spontaneous: bool = True
     strategy: str = "skeleton"
-    engine: str = "auto"
+    engine: dataclasses.InitVar[str] = "auto"
     rng: str = "replay"
     trials: int = 8
     seed: int = 2017
@@ -142,7 +142,7 @@ class Scenario:
     dynamics: Optional[DynamicsSpec] = None
     tags: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, engine: str) -> None:
         if not self.name:
             raise ConfigurationError("scenario name must be non-empty")
         # Resolving through the registry both rejects unknown names and
@@ -154,9 +154,9 @@ class Scenario:
             raise ConfigurationError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.engine not in ENGINES:
+        if engine not in ENGINE_LABELS:
             raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+                f"engine must be one of {ENGINE_LABELS}, got {engine!r}"
             )
         if self.rng not in RNG_MODES:
             raise ConfigurationError(
@@ -197,20 +197,17 @@ class Scenario:
         self,
         *,
         backend: str = "vectorized",
-        engine: Optional[str] = None,
         rng: Optional[str] = None,
     ) -> ExecutionConfig:
         """The scenario's execution axes as one :class:`ExecutionConfig`.
 
-        The scenario's persisted flat fields (``strategy``, ``engine``,
-        ``rng``, ``collision_model``, ``margin``) stay the JSON form;
-        this is the runtime form every execution path consumes.
-        ``backend``, ``engine`` and ``rng`` may be overridden without
-        mutating the scenario.
+        The scenario's persisted flat fields (``strategy``, ``rng``,
+        ``collision_model``, ``margin``) stay the JSON form; this is the
+        runtime form every execution path consumes.  ``backend`` and
+        ``rng`` may be overridden without mutating the scenario.
         """
         return ExecutionConfig(
             backend=backend,
-            engine=engine if engine is not None else self.engine,
             strategy=self.strategy,
             collision_model=self.collision(),
             margin=self.margin,
@@ -229,7 +226,8 @@ class Scenario:
             "collision_model": self.collision_model,
             "spontaneous": self.spontaneous,
             "strategy": self.strategy,
-            "engine": self.engine,
+            # A legacy schema slot: the kernel follows from n.
+            "engine": "auto",
             "rng": self.rng,
             "trials": self.trials,
             "seed": self.seed,
@@ -442,12 +440,11 @@ def _populate(registry: ScenarioRegistry) -> None:
         spontaneous=False, strategy="clustered", trials=4,
         tags=("clustered",))
 
-    # --- sparse-engine regime: n >= 4096 --------------------------------
-    # Above the dense cutoff the auto heuristic selects the CSR engine;
-    # these are the scenarios where the polylog term stops dominating the
-    # O(D + log^6 n) claims.  The n=16384 variants ("xlarge") are too big
-    # for the dense engine (a 16384^2 float32 matrix alone is 1 GiB) and
-    # far too big for the reference runner, so they are run with
+    # --- sparse-kernel regime: n >= 4096 --------------------------------
+    # These run on the CSR kernel; they are the scenarios where the
+    # polylog term stops dominating the O(D + log^6 n) claims.  The
+    # n=16384 variants ("xlarge") are far too big for the reference
+    # runner, so they are run with
     # --skip-reference and lean on the equivalence harness for
     # correctness.  Path variants use the clustered strategy: at
     # n = D + 1 the skeleton's ceil(log2 n)-step cycles would more than
@@ -464,8 +461,7 @@ def _populate(registry: ScenarioRegistry) -> None:
         {"num_nodes": 4096, "edge_probability": 0.003, "seed": 4096},
         "broadcast", trials=4, tags=("sparse", "random"))
     add("broadcast-path-n16384",
-        "path, n=16384=D+1, clustered schedule (dense engine cannot run "
-        "this)", "path", {"num_nodes": 16384}, "broadcast",
+        "path, n=16384=D+1, clustered schedule", "path", {"num_nodes": 16384}, "broadcast",
         strategy="clustered", trials=2, tags=("sparse", "xlarge"))
     add("broadcast-grid-n16384", "128x128 grid, n=16384", "grid",
         {"rows": 128, "cols": 128}, "broadcast", trials=2,
@@ -484,7 +480,7 @@ def _populate(registry: ScenarioRegistry) -> None:
         "geometric", {"num_nodes": 4096, "seed": 4096}, "broadcast",
         trials=2, tags=("sparse", "random"))
     # Leader election in the sparse regime: the first election scenario
-    # the CSR engine opens (the reference runner is far out of reach at
+    # the CSR kernel opens (the reference runner is far out of reach at
     # this scale, so it is benchmarked with --skip-reference like the
     # other sparse-regime scenarios).
     add("election-grid-n4096",
@@ -567,7 +563,7 @@ def _populate(registry: ScenarioRegistry) -> None:
         "(~7.4% nodes down), sparse kernel",
         "gnp", {"num_nodes": 1024, "edge_probability": 0.008,
                 "seed": 1024},
-        "broadcast", engine="sparse", trials=4,
+        "broadcast", trials=4,
         dynamics=DynamicsSpec(
             fault_seed=1024,
             models=(NodeCrash(p_crash=0.02, p_recover=0.25),),

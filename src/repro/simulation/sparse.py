@@ -1,137 +1,33 @@
-"""Sparse (CSR) adjacency kernels for the vectorized Compete engine.
+"""Sparse (CSR) adjacency kernel for the vectorized Compete engine.
 
-The dense engine of :mod:`repro.simulation.vectorized` computes one round
+The dense kernel of :mod:`repro.simulation.vectorized` computes one round
 as matrix products against the densified adjacency matrix -- ``O(n²)``
 memory and ``O(n²)`` work per round regardless of how sparse the topology
-is.  That is the right trade below a few thousand nodes (BLAS matmuls on
-small dense matrices are extremely fast) and the wrong one above it: a
-``16384``-node path would densify into a 1 GiB ``float32`` matrix whose
-per-round products are ~10⁴ times more work than its 16383 edges justify.
+is.  That is the right trade for small graphs (BLAS matmuls on small
+dense matrices are extremely fast) and the wrong one above a few hundred
+nodes: a ``16384``-node path would densify into a 1 GiB ``float32``
+matrix whose per-round products are ~10⁴ times more work than its 16383
+edges justify.
 
 This module is the ``O(n + m)`` alternative: a minimal pure-NumPy CSR
 representation (``indptr``/``indices``, no SciPy dependency) plus the one
 kernel the Compete dynamics need per round -- for every listener, the
 *number* of transmitting neighbours (the collision rule: receive iff
-exactly one) and the *sum* of their ranks (which, at count one, is the
-unique transmitter's rank).  Both are integer segment sums over the CSR
-structure, batched over the trial axis, and therefore exact: the sparse
-engine agrees with the dense engine and the reference runner bit for bit
-(``tests/test_engine_equivalence.py`` pins all three pairwise).
-
-:func:`select_engine` is the density heuristic behind ``engine="auto"``:
-dense for small graphs, sparse for large sparse ones, dense again for
-large graphs so dense that the matmul wins anyway.
+exactly one) and, where that number is one, the unique transmitter's
+rank.  The kernel is driven by the transmitters, batched over the trial
+axis, and all-integer, so the engine agrees with the dense kernel and
+the reference runner bit for bit (``tests/test_engine_equivalence.py``
+pins all three pairwise).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
-
-#: The two concrete kernel implementations an engine can run on.
-ENGINE_KINDS = ("dense", "sparse")
-
-#: At or below this node count the dense engine is always selected:
-#: the whole matrix fits in cache-friendly memory and BLAS beats the
-#: gather/segment-sum kernels.
-DENSE_NODE_CUTOFF = 1024
-
-#: Above the node cutoff, the sparse engine is selected while the edge
-#: density ``2m / (n(n-1))`` stays below this threshold.  At 1/8 density
-#: the CSR gathers touch a quarter of the dense matrix's entries (two
-#: int64 reads per edge vs one float32 per pair), which is roughly where
-#: the matmul catches back up.
-SPARSE_DENSITY_CUTOFF = 0.125
-
-
-def edge_density(num_nodes: int, num_edges: int) -> float:
-    """The fraction ``2m / (n(n-1))`` of possible edges that are present.
-
-    Defined as 1.0 for graphs with fewer than two nodes (they are as
-    dense as they can be).
-
-    >>> edge_density(4, 3)  # path on 4 nodes
-    0.5
-    >>> edge_density(1, 0)
-    1.0
-    """
-    if num_nodes < 0 or num_edges < 0:
-        raise ConfigurationError(
-            f"num_nodes and num_edges must be >= 0, got "
-            f"({num_nodes}, {num_edges})"
-        )
-    if num_nodes < 2:
-        return 1.0
-    return 2.0 * num_edges / (num_nodes * (num_nodes - 1))
-
-
-def sparse_crossover_edges(num_nodes: int) -> int:
-    """The edge count at which ``"auto"`` switches back to dense.
-
-    For a graph above :data:`DENSE_NODE_CUTOFF` nodes,
-    :func:`select_engine` picks sparse at strictly fewer than this many
-    edges and dense at this many or more (the density then reaches
-    :data:`SPARSE_DENSITY_CUTOFF`).  This is the *single* canonical
-    derivation of the dense/sparse crossover -- tests pin the boundary
-    through it instead of re-deriving the density algebra ad hoc.
-
-    >>> sparse_crossover_edges(4096)          # 1/8 of 4096*4095/2
-    1048320
-    >>> select_engine(4096, sparse_crossover_edges(4096) - 1)
-    'sparse'
-    >>> select_engine(4096, sparse_crossover_edges(4096))
-    'dense'
-    """
-    if num_nodes < 2:
-        raise ConfigurationError(
-            f"num_nodes must be >= 2, got {num_nodes}"
-        )
-    pairs = num_nodes * (num_nodes - 1) / 2.0
-    return math.ceil(SPARSE_DENSITY_CUTOFF * pairs)
-
-
-def select_engine(num_nodes: int, num_edges: int) -> str:
-    """The edge-density heuristic behind ``engine="auto"``.
-
-    >>> select_engine(256, 255)        # small: dense regardless of shape
-    'dense'
-    >>> select_engine(16384, 16383)    # large path: sparse
-    'sparse'
-    >>> select_engine(4096, 4096 * 2048 // 2)  # large near-complete: dense
-    'dense'
-    """
-    if num_nodes <= DENSE_NODE_CUTOFF:
-        return "dense"
-    if edge_density(num_nodes, num_edges) < SPARSE_DENSITY_CUTOFF:
-        return "sparse"
-    return "dense"
-
-
-def resolve_engine(engine: str, num_nodes: int, num_edges: int) -> str:
-    """Resolve an engine selector to the concrete kernel that will run.
-
-    ``"auto"`` applies :func:`select_engine`; a concrete kind passes
-    through.  This is the single resolution rule shared by the engine
-    constructor, :meth:`repro.core.compete.Compete.selected_engine` and
-    the benchmark artifact's ``engine.selected`` field.
-
-    >>> resolve_engine("dense", 16384, 16383)
-    'dense'
-    >>> resolve_engine("auto", 16384, 16383)
-    'sparse'
-    """
-    if engine == "auto":
-        return select_engine(num_nodes, num_edges)
-    if engine not in ENGINE_KINDS:
-        raise ConfigurationError(
-            f"engine must be 'auto' or one of {ENGINE_KINDS}, got {engine!r}"
-        )
-    return engine
 
 
 class CSRAdjacency:
@@ -175,15 +71,9 @@ class CSRAdjacency:
             )
         self._indptr = indptr
         self._indices = indices
-        # np.add.reduceat mishandles empty segments (it returns the
-        # element *at* the start instead of 0), so the segment-sum kernel
-        # reduces over the non-empty rows only and scatters the results
-        # back.  Consecutive non-empty starts span exactly one row's
-        # entries because the rows between them contribute none.
-        lengths = np.diff(indptr)
-        self._lengths = lengths
-        self._nonempty_rows = np.nonzero(lengths)[0]
-        self._nonempty_starts = indptr[:-1][self._nonempty_rows]
+        # Row lengths (node degrees): how many CSR entries each
+        # transmitter's row contributes to a round.
+        self._lengths = np.diff(indptr)
 
     @classmethod
     def from_graph(
@@ -218,13 +108,13 @@ class CSRAdjacency:
         matrix[rows, self._indices] = True
         return matrix
 
-    def counts_and_rank_sums(
+    def counts_and_ranks(
         self,
         transmit: np.ndarray,
         ranks: np.ndarray,
         entry_mask: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-listener transmitter counts and transmitted-rank sums.
+        """Per-listener transmitter counts and the received rank.
 
         Parameters
         ----------
@@ -237,103 +127,56 @@ class CSRAdjacency:
             Optional boolean array of shape ``(num_entries,)``: which
             directed CSR entries currently carry signal.  ``False``
             entries (links held down by ``repro.dynamics`` edge churn
-            this round) contribute neither counts nor rank sums.  The
-            default (``None``) is the static-topology fast path and is
-            byte-identical to the pre-dynamics kernel.
+            this round) contribute nothing.  ``None`` is the static
+            topology.
 
-        Returns ``(counts, sums)``, both ``int64`` of shape
+        Returns ``(counts, received)``, both ``int64`` of shape
         ``(trials, n)``: ``counts[t, j]`` is how many neighbours of ``j``
-        transmit in trial ``t`` and ``sums[t, j]`` the sum of their
-        ranks.  Where ``counts == 1``, ``sums`` *is* the unique
-        transmitter's rank -- the only place the engine reads it.  All
-        arithmetic is integer, so the results are exact (ranks are
-        ``< n`` and sums ``< n²``, far inside int64).
-        """
-        gathered = transmit[:, self._indices].astype(np.int64)
-        weighted = (ranks * transmit)[:, self._indices]
-        if entry_mask is not None:
-            gathered *= entry_mask[None, :]
-            weighted *= entry_mask[None, :]
-        return self._segment_sum(gathered), self._segment_sum(weighted)
+        transmit in trial ``t``.  Where ``counts == 1``, ``received`` is
+        the unique transmitter's rank -- the only place the engine reads
+        it; elsewhere it is 0 (silence) or one of the colliding ranks.
 
-    def transmitter_counts_and_rank_sums(
-        self,
-        transmit: np.ndarray,
-        ranks: np.ndarray,
-        entry_mask: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract as :meth:`counts_and_rank_sums`, transmitter-driven.
-
-        :meth:`counts_and_rank_sums` gathers the *full* edge structure
-        every round (``O(trials * 2m)`` work even when almost nobody
-        transmits).  Under the Decay schedules only ``~n / decay_steps``
-        nodes transmit in an average round, so this kernel walks the
-        problem from the other side: gather only the transmitters' CSR
-        rows and scatter-add their contributions onto the listeners with
-        ``np.bincount``.  Per round that is ``O(T + sum of transmitter
-        degrees)`` gather work -- typically 20-30x less data touched.
-
-        The results are bit-for-bit identical to
-        :meth:`counts_and_rank_sums` (``tests/test_sparse.py`` pins
-        this): counts are exact small integers, and the weighted
-        bincount accumulates rank sums in float64, which is exact
-        because every per-listener sum is at most ``max_degree * n <
-        2**53`` for any graph this package can represent.
-
-        This is the reception kernel of the ``rng="decoupled"`` fast
-        mode; the replay mode keeps the original kernel so the
-        long-pinned reference-parity path stays byte-identical.
+        The kernel walks the problem from the transmitters' side: it
+        gathers only their CSR rows and scatters onto the listeners, so
+        a round costs ``O(T + sum of transmitter degrees)`` rather than
+        ``O(trials * 2m)``.  The rank channel is a plain integer
+        scatter-assign, exact wherever exactly one transmitter writes.
         """
         trials, n = transmit.shape
-        flat_index = np.nonzero(transmit.ravel())[0]
-        if flat_index.size == 0:
-            zeros = np.zeros((trials, n), dtype=np.int64)
-            return zeros, zeros.copy()
+        received = np.zeros(trials * n, dtype=np.int64)
+        flat_index = np.flatnonzero(transmit)
         transmitters = flat_index % n
         lengths = self._lengths[transmitters]
         total = int(lengths.sum())
         if total == 0:
-            zeros = np.zeros((trials, n), dtype=np.int64)
-            return zeros, zeros.copy()
+            return (
+                np.zeros((trials, n), dtype=np.int64),
+                received.reshape(trials, n),
+            )
         # Expand each transmitter's CSR slice [start, start+length) into
         # one flat position vector: repeat the slice starts (shifted by
         # the running cumulative offset) and add a global arange.  The
         # three per-edge streams -- slice base, trial offset, rank --
         # ride in one stacked repeat call.
-        starts = self._indptr[:-1][transmitters]
         offsets = np.cumsum(lengths) - lengths
         per_edge = np.empty((3, flat_index.size), dtype=np.int64)
-        np.subtract(starts, offsets, out=per_edge[0])
-        np.multiply(flat_index // n, n, out=per_edge[1])
+        np.subtract(self._indptr[transmitters], offsets, out=per_edge[0])
+        np.subtract(flat_index, transmitters, out=per_edge[1])
         per_edge[2] = ranks.ravel()[flat_index]
         expanded = np.repeat(per_edge, lengths, axis=1)
         positions = expanded[0] + np.arange(total)
-        listeners = self._indices[positions]
-        flat = expanded[1] + listeners
-        weights = expanded[2]
+        flat = expanded[1] + self._indices[positions]
+        sent = expanded[2]
         if entry_mask is not None:
-            # Drop the contributions riding over down links before the
-            # scatter-add; the surviving entries are unchanged, so the
-            # masked result equals the gather kernel's bit for bit.
+            # Drop the contributions riding over down links.
             up = entry_mask[positions]
             flat = flat[up]
-            weights = weights[up]
+            sent = sent[up]
         counts = np.bincount(flat, minlength=trials * n).astype(
             np.int64, copy=False
-        ).reshape(trials, n)
-        sums = np.bincount(
-            flat, weights=weights.astype(np.float64), minlength=trials * n
-        ).astype(np.int64).reshape(trials, n)
-        return counts, sums
-
-    def _segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum ``values`` (shape ``(trials, num_entries)``) per CSR row."""
-        result = np.zeros((values.shape[0], self.num_nodes), dtype=np.int64)
-        if self._nonempty_starts.size:
-            result[:, self._nonempty_rows] = np.add.reduceat(
-                values, self._nonempty_starts, axis=1
-            )
-        return result
+        )
+        received[flat] = sent
+        return counts.reshape(trials, n), received.reshape(trials, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

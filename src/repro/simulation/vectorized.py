@@ -27,22 +27,20 @@ nothing) -- and one round becomes:
 All three are batched over an additional leading *trial* axis, so many
 seeded trials run simultaneously through the same matrix products.
 
-Two interchangeable kernel **engines** execute the reception step, chosen
-by the ``engine`` argument (``"auto"`` applies the edge-density heuristic
-of :func:`repro.simulation.sparse.select_engine`):
+Two reception kernels execute that step, picked from the node count
+alone by :func:`kernel_for`:
 
-* ``"dense"`` densifies the adjacency matrix once and computes ``counts``
-  and the rank sums as matrix products -- unbeatable below a few thousand
-  nodes, ``O(n²)`` memory and per-round work above that;
-* ``"sparse"`` keeps the graph in CSR form
-  (:class:`repro.simulation.sparse.CSRAdjacency`) and computes the same
-  two quantities as integer segment sums over the ``O(n + m)`` edge
-  structure -- this is what opens the ``n >= 10^4`` scenarios the
-  ROADMAP calls for.
+* ``"dense"`` (``n <= DENSE_NODE_CUTOFF``) densifies the adjacency matrix
+  once and computes ``counts`` and the rank sums as ``float32`` matrix
+  products -- the fastest path for small graphs;
+* ``"sparse"`` (everything larger) keeps the graph in CSR form
+  (:class:`repro.simulation.sparse.CSRAdjacency`) and scatters each
+  round's transmitters onto their listeners in ``O(n + m)`` memory --
+  this is what opens the ``n >= 10^4`` scenarios.
 
-Both engines evaluate the identical collision rule on exactly the same
-draws, so they agree bit for bit; the engine axis is orthogonal to the
-strategy axis and invisible in every result.
+Both kernels evaluate the identical collision rule on exactly the same
+draws, so they agree bit for bit; the choice is invisible in every
+result.
 
 Round-exact equivalence with the reference runner
 -------------------------------------------------
@@ -71,15 +69,33 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.network.graph import Graph
 from repro.network.metrics import NetworkMetrics
-from repro.schedules.transmission import decay_probabilities
 from repro.simulation.rng import RNG_MODES, DecoupledStreams
-from repro.simulation.sparse import CSRAdjacency, ENGINE_KINDS, resolve_engine
+from repro.simulation.sparse import CSRAdjacency
 
 #: Rank value meaning "this node knows no message yet".
 NO_MESSAGE = 0
 
-#: Engine selectors: the concrete kernels plus the density heuristic.
-ENGINES = ("auto",) + ENGINE_KINDS
+#: Largest node count run on the dense ``float32`` matmul kernel; larger
+#: graphs run on the CSR kernel.  This is the measured crossover: at
+#: ``n = 384`` the two take about the same time per round, and above it
+#: CSR pulls ahead (about half of dense's time at ``n = 1024`` on a
+#: degree-8 G(n, p), 2-core x86-64).  It also keeps the dense kernel
+#: exact: counts and rank sums are at most ``n² < 2**24``, inside
+#: ``float32``'s integer range.
+DENSE_NODE_CUTOFF = 384
+
+#: The reception kernels :func:`kernel_for` picks between.
+KERNELS = ("dense", "sparse")
+
+
+def kernel_for(num_nodes: int) -> str:
+    """The reception kernel the engine runs for a graph of ``num_nodes``.
+
+    >>> kernel_for(384), kernel_for(385)
+    ('dense', 'sparse')
+    """
+    return "dense" if num_nodes <= DENSE_NODE_CUTOFF else "sparse"
+
 
 #: Default number of uniform draws pre-fetched per (trial, node) stream.
 #: Larger blocks amortise the per-generator Python call over more rounds
@@ -205,28 +221,15 @@ class VectorizedCompeteEngine:
     ----------
     graph:
         The communication graph.  Its adjacency structure is snapshotted
-        once at construction -- densified into an ``n x n`` matrix under
-        the dense engine, converted to CSR under the sparse one.
-    engine:
-        ``"dense"``, ``"sparse"``, or ``"auto"`` (the default), which
-        picks by the edge-density heuristic of
-        :func:`repro.simulation.sparse.select_engine`: dense up to
-        :data:`~repro.simulation.sparse.DENSE_NODE_CUTOFF` nodes, sparse
-        above it while the density stays below
-        :data:`~repro.simulation.sparse.SPARSE_DENSITY_CUTOFF`.  The two
-        kernels are bit-for-bit equivalent; only time and memory differ.
-    decay_steps:
-        Steps per uniform Decay round (``⌈log2 n⌉``); every node's
-        transmission probability in global round ``r`` is
-        ``2^-((r mod decay_steps) + 1)``, exactly the skeleton schedule
-        of :class:`~repro.core.compete.CompeteProtocol`.  Mutually
-        exclusive with ``schedule``.
+        once at construction -- densified into an ``n x n`` matrix for
+        the dense kernel, converted to CSR for the sparse one
+        (:func:`kernel_for` picks by node count).
     schedule:
         A :class:`~repro.schedules.transmission.TransmissionSchedule`
-        assigning each node its own periodic probability cycle (the
-        clustered strategy's cost-charged schedules arrive this way).
-        The schedule must cover every node of the graph.  Mutually
-        exclusive with ``decay_steps``.
+        assigning each node its own periodic probability cycle (for
+        example :func:`~repro.schedules.transmission.uniform_decay_schedule`
+        for the skeleton, or the clustered strategy's cost-charged
+        schedule).  The schedule must cover every node of the graph.
     max_rounds:
         Round budget per trial.
     draw_block:
@@ -238,8 +241,7 @@ class VectorizedCompeteEngine:
         :class:`DrawStreams` -- the round-exact parity mode this
         docstring describes.  ``"decoupled"`` evaluates the stateless
         counter-based hash of
-        :class:`~repro.simulation.rng.DecoupledStreams` instead (and,
-        on the sparse engine, the transmitter-driven reception kernel):
+        :class:`~repro.simulation.rng.DecoupledStreams` instead:
         much faster at large ``n``, still exactly reproducible from the
         seeds, but only *distributionally* equivalent to the reference
         (``tests/test_rng_decoupled.py`` enforces that contract
@@ -258,56 +260,47 @@ class VectorizedCompeteEngine:
         An :class:`~repro.api.config.ExecutionConfig` describing the
         whole run: the strategy is compiled to the schedule, the round
         budget derived from the graph (or the config's explicit
-        ``parameters``), and ``engine="auto"`` resolved through the
-        shared :func:`~repro.api.config.resolve_execution` path.
-        Mutually exclusive with every other keyword.
+        ``parameters``) through the shared
+        :func:`~repro.api.config.resolve_execution` path.  Mutually
+        exclusive with every other keyword.
     """
 
     def __init__(
         self,
         graph: Graph,
         *,
-        decay_steps: Optional[int] = None,
         schedule=None,
         max_rounds: Optional[int] = None,
         draw_block: int = DEFAULT_DRAW_BLOCK,
-        engine: str = "auto",
         rng: str = "replay",
         dynamics=None,
         config=None,
     ) -> None:
         if config is not None:
-            if (decay_steps is not None or schedule is not None
-                    or max_rounds is not None or engine != "auto"
+            if (schedule is not None or max_rounds is not None
                     or draw_block != DEFAULT_DRAW_BLOCK
                     or rng != "replay" or dynamics is not None):
                 raise ConfigurationError(
-                    "pass either config= or the explicit decay_steps/"
-                    "schedule/max_rounds/engine/draw_block/rng/dynamics "
-                    "keywords, not both (the config carries its own "
-                    "engine, draw_block, rng and dynamics)"
+                    "pass either config= or the explicit schedule/"
+                    "max_rounds/draw_block/rng/dynamics keywords, not "
+                    "both (the config carries its own draw_block, rng "
+                    "and dynamics)"
                 )
             # api sits above simulation in the layering, so the import
-            # is local; resolution applies the density heuristic once.
+            # is local.
             from repro.api.config import resolve_execution
 
             resolved = resolve_execution(graph, config)
             schedule = resolved.schedule
             max_rounds = resolved.parameters.total_rounds
-            engine = resolved.engine
             draw_block = config.draw_block
             rng = config.rng
             dynamics = resolved.fault_schedule
-        if max_rounds is None:
+        if schedule is None or max_rounds is None:
             raise ConfigurationError(
-                "max_rounds is required when no config is given"
+                "schedule and max_rounds are required when no config is "
+                "given"
             )
-        if (decay_steps is None) == (schedule is None):
-            raise ConfigurationError(
-                "exactly one of decay_steps and schedule must be given"
-            )
-        if decay_steps is not None and decay_steps < 1:
-            raise ConfigurationError(f"decay_steps must be >= 1, got {decay_steps}")
         if max_rounds < 0:
             raise ConfigurationError(f"max_rounds must be >= 0, got {max_rounds}")
         if rng not in RNG_MODES:
@@ -315,20 +308,14 @@ class VectorizedCompeteEngine:
                 f"rng must be one of {RNG_MODES}, got {rng!r}"
             )
         self._rng = rng
-        self._engine = engine = resolve_engine(
-            engine, graph.num_nodes, graph.num_edges
-        )
+        self._kernel = kernel_for(graph.num_nodes)
         self._csr: Optional[CSRAdjacency] = None
         self._adjacency: Optional[np.ndarray] = None
-        if engine == "sparse":
+        if self._kernel == "sparse":
             self._csr, nodes = CSRAdjacency.from_graph(graph)
         else:
             matrix, nodes = graph.adjacency_matrix()
-            # float32 matmuls are ~2x faster and remain exact as long as
-            # every intermediate integer stays below 2^24: neighbour counts
-            # are <= n and rank sums are <= n * n (ranks are dense, so < n).
-            dtype = np.float32 if len(nodes) ** 2 < 2**24 else np.float64
-            self._adjacency = matrix.astype(dtype)
+            self._adjacency = matrix.astype(np.float32)
         self._nodes = tuple(nodes)
         self._dynamics = dynamics
         if dynamics is not None and tuple(dynamics.nodes) != self._nodes:
@@ -337,16 +324,9 @@ class VectorizedCompeteEngine:
                 "build the FaultSchedule from the same graph as the "
                 "engine"
             )
-        if schedule is not None:
-            # One row of per-node probabilities per round of the cycle;
-            # the run loop indexes row ``round % cycle_length``.
-            self._probabilities = schedule.probability_matrix(nodes)
-        else:
-            assert decay_steps is not None
-            self._probabilities = np.tile(
-                np.array(decay_probabilities(decay_steps))[:, None],
-                (1, len(nodes)),
-            )
+        # One row of per-node probabilities per round of the cycle; the
+        # run loop indexes row ``round % cycle_length``.
+        self._probabilities = schedule.probability_matrix(nodes)
         self._max_rounds = max_rounds
         self._draw_block = draw_block
         if rng == "decoupled":
@@ -374,9 +354,9 @@ class VectorizedCompeteEngine:
         return self._nodes
 
     @property
-    def engine(self) -> str:
-        """The kernel actually selected: ``"dense"`` or ``"sparse"``."""
-        return self._engine
+    def kernel(self) -> str:
+        """The reception kernel in use: ``"dense"`` or ``"sparse"``."""
+        return self._kernel
 
     @property
     def rng(self) -> str:
@@ -386,23 +366,23 @@ class VectorizedCompeteEngine:
     def _round_reception(
         self, transmit: np.ndarray, ranks: np.ndarray, faults=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One round's reception outcome under the selected kernel.
+        """One round's reception outcome under the engine's kernel.
 
         Returns ``(unique, collided, received)``: per (trial, node)
         whether exactly one / two-or-more neighbours transmitted, and
-        the transmitted-rank sum (meaningful only where ``unique``).
-        Silent air is the complement of the two masks.  Both kernels
-        compute identical values -- the dense one as float matrix
-        products (exact below the dtype's integer range, see
-        ``__init__``), the sparse one as int64 segment sums.
+        the received rank (meaningful only where ``unique``).  Silent
+        air is the complement of the two masks.  Both kernels agree
+        wherever ``unique`` holds -- the dense one computes rank sums as
+        exact ``float32`` matrix products, the sparse one scatters the
+        transmitters' ranks as integers.
 
         ``faults`` (a :class:`repro.dynamics.RoundFaults`) masks churned
         links out of the structure for this round: the dense kernel
         multiplies against a copy with the down pairs zeroed, the sparse
-        kernels drop the down CSR entries.  Both see the identical
+        kernel drops the down CSR entries.  Both see the identical
         ``edge_up`` array, so they keep agreeing bit for bit.
         """
-        if self._engine == "dense":
+        if self._kernel == "dense":
             adjacency = self._adjacency
             if faults is not None and faults.edge_up is not None:
                 down = ~faults.edge_up
@@ -420,18 +400,9 @@ class VectorizedCompeteEngine:
         entry_mask = None
         if faults is not None and faults.edge_up is not None:
             entry_mask = faults.edge_up[self._dynamics.entry_edge_ids]
-        if self._rng == "decoupled":
-            # The decoupled fast mode pairs the hash RNG with the
-            # transmitter-driven kernel (identical values, far less
-            # gather work); replay keeps the original all-edges kernel
-            # so the reference-parity path stays byte-identical.
-            counts, received = self._csr.transmitter_counts_and_rank_sums(
-                transmit, ranks, entry_mask
-            )
-        else:
-            counts, received = self._csr.counts_and_rank_sums(
-                transmit, ranks, entry_mask
-            )
+        counts, received = self._csr.counts_and_ranks(
+            transmit, ranks, entry_mask
+        )
         return counts == 1, counts >= 2, received
 
     def run_batch(

@@ -1,14 +1,12 @@
 """The repro.api layer: ExecutionConfig, resolve_execution, the registry.
 
-Covers (a) config validation and immutability, (b) the single-source
-engine-resolution path and its dense/sparse crossover regression pins,
-(c) the algorithm registry's capability enforcement and plugin seam, and
-(d) the deprecation shims: each legacy kwarg spelling must warn exactly
-once, build the equivalent config, and yield seed-identical results.
+Covers (a) config validation and immutability, (b) the single shared
+resolution path, (c) the algorithm registry's capability enforcement and
+plugin seam, and (d) the removal of the old per-function kwargs: every
+entry point takes its execution axes only through ``config=``.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -18,23 +16,15 @@ from repro.api import (
     Algorithm,
     AlgorithmRegistry,
     ExecutionConfig,
-    coerce_execution_config,
     get_algorithm,
     resolve_execution,
 )
-from repro.core.broadcast import broadcast
+from repro.core.broadcast import broadcast, broadcast_batch
 from repro.core.compete import Compete, SkeletonStrategy, compete
 from repro.core.leader_election import elect_leader
 from repro.core.parameters import CompeteParameters
 from repro.errors import ConfigurationError
 from repro.network.radio import CollisionModel
-from repro.simulation.sparse import (
-    DENSE_NODE_CUTOFF,
-    SPARSE_DENSITY_CUTOFF,
-    resolve_engine,
-    select_engine,
-    sparse_crossover_edges,
-)
 from repro.simulation.vectorized import VectorizedCompeteEngine
 
 
@@ -44,20 +34,19 @@ from repro.simulation.vectorized import VectorizedCompeteEngine
 def test_config_defaults_and_describe():
     config = ExecutionConfig()
     assert config.backend == "reference"
-    assert config.engine == "auto"
     assert config.strategy == "skeleton"
     assert config.collision_model is CollisionModel.NO_DETECTION
     assert config.parameters is None
     assert config.rng == "replay"
     assert config.describe()["strategy"] == "skeleton"
     assert config.describe()["collision_model"] == "no-detection"
+    # The kernel is not an execution axis: it follows from n alone.
+    assert "engine" not in config.describe()
 
 
 def test_config_validation_rejects_bad_axes():
     with pytest.raises(ConfigurationError, match="backend"):
         ExecutionConfig(backend="warp-drive")
-    with pytest.raises(ConfigurationError, match="engine"):
-        ExecutionConfig(engine="gpu")
     with pytest.raises(ConfigurationError, match="strategy"):
         ExecutionConfig(strategy="quantum")
     with pytest.raises(ConfigurationError, match="collision_model"):
@@ -92,11 +81,11 @@ def test_config_is_immutable_and_replace_derives():
     config = ExecutionConfig(backend="vectorized")
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.backend = "reference"
-    derived = config.replace(engine="sparse", strategy="clustered")
-    assert (derived.backend, derived.engine) == ("vectorized", "sparse")
-    assert config.engine == "auto"  # original untouched
+    derived = config.replace(rng="decoupled", strategy="clustered")
+    assert (derived.backend, derived.rng) == ("vectorized", "decoupled")
+    assert config.rng == "replay"  # original untouched
     with pytest.raises(ConfigurationError):
-        config.replace(engine="gpu")  # replace re-validates
+        config.replace(rng="quantum")  # replace re-validates
 
 
 def test_config_accepts_strategy_instances():
@@ -113,7 +102,6 @@ def test_resolve_execution_derives_everything():
     resolved = resolve_execution(graph, ExecutionConfig(strategy="clustered"))
     assert resolved.parameters == CompeteParameters.from_graph(graph)
     assert resolved.strategy.name == "clustered"
-    assert resolved.engine == "dense"  # n = 16 is far below the cutoff
     assert resolved.collision_model is CollisionModel.NO_DETECTION
     schedule = resolved.schedule
     assert schedule is resolved.schedule  # built once, cached
@@ -147,54 +135,14 @@ def test_resolve_execution_honours_explicit_parameters():
     assert resolved.parameters == override
 
 
-def test_engine_crossover_regression():
-    # The dense<->sparse crossover of the auto heuristic, pinned so the
-    # single source of truth cannot silently move: dense at and below
-    # the node cutoff regardless of shape, sparse above it while the
-    # edge density stays below the cutoff, dense again at high density.
-    assert DENSE_NODE_CUTOFF == 1024 and SPARSE_DENSITY_CUTOFF == 0.125
-    assert select_engine(DENSE_NODE_CUTOFF, DENSE_NODE_CUTOFF - 1) == "dense"
-    assert select_engine(DENSE_NODE_CUTOFF + 1, DENSE_NODE_CUTOFF) == "sparse"
-    # sparse_crossover_edges is the one exported statement of where the
-    # density boundary sits; pin its concrete values so a cutoff change
-    # cannot land without touching this line.
-    n = 2048
-    boundary = sparse_crossover_edges(n)
-    assert boundary == 262016
-    assert sparse_crossover_edges(4096) == 1048320
-    assert select_engine(n, boundary - 1) == "sparse"
-    assert select_engine(n, boundary) == "dense"
-    # resolve_engine (the funnel resolve_execution applies) agrees with
-    # the raw heuristic on "auto" and passes concrete kinds through.
-    for num_nodes, num_edges in [(8, 7), (1025, 1024), (n, boundary)]:
-        assert resolve_engine("auto", num_nodes, num_edges) == select_engine(
-            num_nodes, num_edges
-        )
-    assert resolve_engine("dense", 10**6, 10**6) == "dense"
-
-
-def test_resolution_is_the_single_crossover_authority():
-    # Every consumer of the heuristic -- resolve_execution, the Compete
-    # primitive, the engine constructor -- must report the same kernel
-    # for the same graph, on both sides of the node-cutoff crossover.
-    below = topology.path_graph(32)
-    above = topology.path_graph(DENSE_NODE_CUTOFF + 1)
-    for graph, expected in ((below, "dense"), (above, "sparse")):
-        resolved = resolve_execution(graph, ExecutionConfig())
-        assert resolved.engine == expected
-        assert Compete(graph).selected_engine() == expected
-        assert resolved.build_engine().engine == expected
-
-
 def test_engine_config_excludes_every_explicit_keyword():
-    # config= carries its own engine and draw_block; silently ignoring
-    # an explicit one would run a different kernel than requested.
+    # config= carries its own budget, draw_block and rng; silently
+    # ignoring an explicit one would run something other than requested.
     graph = topology.path_graph(6)
     for kwargs in (
         {"max_rounds": 4},
-        {"engine": "sparse"},
         {"draw_block": 7},
-        {"decay_steps": 2},
+        {"rng": "decoupled"},
     ):
         with pytest.raises(ConfigurationError, match="config"):
             VectorizedCompeteEngine(
@@ -204,16 +152,14 @@ def test_engine_config_excludes_every_explicit_keyword():
 
 def test_engine_from_config_matches_explicit_construction():
     graph = topology.grid_graph(4, 4)
-    config = ExecutionConfig(engine="sparse")
+    config = ExecutionConfig(strategy="clustered")
     from_config = VectorizedCompeteEngine(graph, config=config)
     resolved = resolve_execution(graph, config)
     explicit = VectorizedCompeteEngine(
         graph,
         schedule=resolved.schedule,
         max_rounds=resolved.parameters.total_rounds,
-        engine="sparse",
     )
-    assert from_config.engine == explicit.engine == "sparse"
     import numpy as np
 
     ranks = np.zeros((2, graph.num_nodes), dtype=np.int64)
@@ -327,121 +273,34 @@ def test_registry_plugin_seam_end_to_end():
 
 
 # ----------------------------------------------------------------------
-# deprecation shims (the old kwarg web)
+# the old per-function kwargs are gone
 # ----------------------------------------------------------------------
-def _collect_deprecations(call):
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = call()
-    return result, [
-        w for w in record if issubclass(w.category, DeprecationWarning)
-    ]
+def test_legacy_kwargs_are_rejected_on_every_entry_point():
+    from repro.experiments import run_benchmark
+    from repro.experiments.scenarios import Scenario
 
-
-def test_legacy_broadcast_kwargs_warn_once_and_match_config():
-    graph = topology.path_graph(20)
-    explicit = broadcast(
-        graph, source=0, seed=9,
-        config=ExecutionConfig(backend="vectorized", engine="sparse"),
-    )
-    legacy, deprecations = _collect_deprecations(
-        lambda: broadcast(graph, source=0, seed=9,
-                          backend="vectorized", engine="sparse")
-    )
-    # Exactly ONE warning per call, even with two legacy kwargs...
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "backend=" in message and "engine=" in message
-    assert "ExecutionConfig" in message
-    # ...and seed-identical results through the shim.
-    assert legacy.rounds == explicit.rounds
-    assert dict(legacy.reception_rounds) == dict(explicit.reception_rounds)
-    assert legacy.metrics.as_dict() == explicit.metrics.as_dict()
-
-
-def test_coerce_builds_the_equivalent_config():
-    coerced, deprecations = _collect_deprecations(
-        lambda: coerce_execution_config(
-            None, where="test", backend="vectorized", engine="sparse"
-        )
-    )
-    assert len(deprecations) == 1
-    assert coerced == ExecutionConfig(backend="vectorized", engine="sparse")
-    # No legacy kwargs -> no warning, config (or default) passes through.
-    untouched, deprecations = _collect_deprecations(
-        lambda: coerce_execution_config(None, where="test")
-    )
-    assert untouched == ExecutionConfig() and not deprecations
-    given = ExecutionConfig(strategy="clustered")
-    passed, deprecations = _collect_deprecations(
-        lambda: coerce_execution_config(given, where="test")
-    )
-    assert passed is given and not deprecations
-
-
-def test_mixing_config_and_legacy_kwargs_is_an_error():
-    graph = topology.path_graph(6)
-    with pytest.raises(ConfigurationError, match="not both"):
-        broadcast(graph, source=0,
-                  config=ExecutionConfig(), backend="vectorized")
-    with pytest.raises(ConfigurationError, match="not both"):
-        Compete(graph, config=ExecutionConfig(), strategy="clustered")
-
-
-def test_legacy_kwargs_warn_on_every_entry_point():
     graph = topology.star_graph(8)
+    scenario = Scenario(
+        name="legacy-check", description="", family="star",
+        topology_args={"num_leaves": 7}, algorithm="broadcast",
+    )
     for call in (
+        lambda: ExecutionConfig(engine="sparse"),
         lambda: Compete(graph, backend="vectorized"),
+        lambda: Compete(graph).run({0: 1}, seed=0, backend="vectorized"),
         lambda: compete(graph, {0: 1}, seed=0, strategy="clustered"),
         lambda: elect_leader(graph, seed=1, engine="dense"),
         lambda: broadcast(graph, source=0, seed=0,
                           collision_model=CollisionModel.WITH_DETECTION),
         lambda: broadcast(graph, source=0, seed=0, margin=4.0),
-        lambda: Compete(graph).run({0: 1}, seed=0, backend="vectorized"),
+        lambda: broadcast_batch(graph, 0, seeds=[0], engine="sparse"),
+        lambda: scenario.execution_config(engine="sparse"),
+        lambda: run_benchmark(scenario, engine="sparse"),
+        lambda: VectorizedCompeteEngine(graph, decay_steps=2,
+                                        max_rounds=4),
     ):
-        _, deprecations = _collect_deprecations(call)
-        assert len(deprecations) == 1, call
-
-
-def test_legacy_elect_leader_is_seed_identical():
-    graph = topology.complete_graph(12)
-    explicit = elect_leader(
-        graph, seed=5, config=ExecutionConfig(backend="vectorized")
-    )
-    legacy, deprecations = _collect_deprecations(
-        lambda: elect_leader(graph, seed=5, backend="vectorized")
-    )
-    assert len(deprecations) == 1
-    assert (legacy.leader, legacy.attempts, legacy.rounds) == (
-        explicit.leader, explicit.attempts, explicit.rounds
-    )
-
-
-def test_run_benchmark_engine_shim_warns_and_matches():
-    from repro.experiments import run_benchmark
-    from repro.experiments.scenarios import Scenario
-
-    scenario = Scenario(
-        name="shim-check", description="", family="star",
-        topology_args={"num_leaves": 7}, algorithm="broadcast",
-        trials=2, seed=3,
-    )
-    explicit = run_benchmark(
-        scenario, include_reference=False,
-        config=scenario.execution_config(engine="sparse"),
-    )
-    legacy, deprecations = _collect_deprecations(
-        lambda: run_benchmark(scenario, include_reference=False,
-                              engine="sparse")
-    )
-    assert len(deprecations) == 1
-    assert legacy["engine"] == explicit["engine"] == {
-        "requested": "sparse", "selected": "sparse"
-    }
-    assert legacy["results"] == explicit["results"]
-    with pytest.raises(ConfigurationError, match="not both"):
-        run_benchmark(scenario, include_reference=False,
-                      config=scenario.execution_config(), engine="dense")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
 
 def test_run_benchmark_honours_config_parameters():

@@ -65,8 +65,7 @@ def test_decay_broadcast_rejects_unsupported_modes():
         decay_broadcast(graph, source=99)
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_decay_broadcast_backend_equivalence(engine):
+def test_decay_broadcast_backend_equivalence(kernel):
     # Reference vs vectorized (both kernels), field by field: the
     # baseline inherits the package's round-exact guarantee.
     graph = topology.grid_graph(4, 5)
@@ -74,9 +73,9 @@ def test_decay_broadcast_backend_equivalence(engine):
         reference = decay_broadcast(graph, source=0, seed=seed)
         fast = decay_broadcast(
             graph, source=0, seed=seed,
-            config=ExecutionConfig(backend="vectorized", engine=engine),
+            config=ExecutionConfig(backend="vectorized"),
         )
-        assert_same_result(reference, fast, f"seed={seed} engine={engine}")
+        assert_same_result(reference, fast, f"seed={seed} kernel={kernel}")
 
 
 def test_decay_broadcast_collision_detection_model():

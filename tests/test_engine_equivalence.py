@@ -1,4 +1,4 @@
-"""The backend/engine equivalence harness: reference vs dense vs sparse.
+"""The backend/kernel equivalence harness: reference vs dense vs sparse.
 
 This is the single home of the package's equivalence guarantee
 (``repro.simulation`` docstring).  One table of cases -- topology family
@@ -6,15 +6,17 @@ x strategy x collision model x algorithm -- runs every seeded instance
 through all three execution paths:
 
 * the pure-Python reference ``ProtocolRunner`` (``backend="reference"``),
-* the vectorized backend on the dense matmul kernel (``engine="dense"``),
-* the vectorized backend on the sparse CSR kernel (``engine="sparse"``),
+* the vectorized backend on the dense matmul kernel (the default for
+  graphs of at most ``DENSE_NODE_CUTOFF`` nodes),
+* the vectorized backend on the sparse CSR kernel (forced here by
+  monkeypatching ``DENSE_NODE_CUTOFF`` to 0),
 
 and asserts *round-exact* agreement field by field: same winner/leader,
 same success flag, same executed-round count, same per-node reception
 rounds and final messages, identical metric counters.  Cases marked
 ``slow`` cover the large-``n`` regime (up to 1024 nodes with the
-reference runner in the loop, beyond it dense-vs-sparse only) and are
-excluded in CI via ``-m "not slow"``.
+reference runner in the loop) and are excluded in CI via
+``-m "not slow"``.
 
 Engine *internals* (draw streams, input validation, caching) live in
 ``tests/test_vectorized.py``; CSR structure in ``tests/test_sparse.py``;
@@ -26,6 +28,8 @@ from typing import Callable, Optional, Tuple
 
 import pytest
 
+from conftest import on_kernel
+import repro.simulation.vectorized as vectorized
 from repro import topology
 from repro.api import ExecutionConfig
 from repro.dynamics import (
@@ -41,13 +45,7 @@ from repro.core.parameters import CompeteParameters
 from repro.network.graph import Graph
 from repro.network.messages import Message
 from repro.network.radio import CollisionModel
-
-#: The three execution paths compared pairwise: (label, backend, engine).
-EXECUTIONS = (
-    ("reference", "reference", "auto"),
-    ("dense", "vectorized", "dense"),
-    ("sparse", "vectorized", "sparse"),
-)
+from repro.simulation.vectorized import DENSE_NODE_CUTOFF, kernel_for
 
 NO_DETECT = CollisionModel.NO_DETECTION
 DETECT = CollisionModel.WITH_DETECTION
@@ -187,9 +185,7 @@ def case_params():
         yield pytest.param(case, id=case.name, marks=marks)
 
 
-def run_case(
-    case: Case, seed: int, backend: str, engine: str, rng: str = "replay"
-):
+def run_case(case: Case, seed: int, backend: str, rng: str = "replay"):
     """Execute one case on one execution path (via ExecutionConfig)."""
     graph = case.factory()
     common = dict(
@@ -197,7 +193,6 @@ def run_case(
         spontaneous=case.spontaneous,
         config=ExecutionConfig(
             backend=backend,
-            engine=engine,
             strategy=case.strategy,
             collision_model=case.collision_model,
             rng=rng,
@@ -239,17 +234,23 @@ def assert_round_exact(case: Case, seed: int, reference, other, label: str):
     assert reference.metrics.as_dict() == other.metrics.as_dict(), context
 
 
+#: Reference results by (case name, seed); the reference runner does not
+#: depend on the kernel, so both kernel runs share one.
+_REFERENCE_RESULTS = {}
+
+
 @pytest.mark.parametrize("case", case_params())
-def test_three_way_round_exact_agreement(case):
+def test_reference_round_exact_agreement(case, kernel):
+    # Run once per kernel, this pins reference = dense and reference =
+    # sparse, hence all three paths pairwise.
     for seed in case.seeds:
-        results = {
-            label: run_case(case, seed, backend, engine)
-            for label, backend, engine in EXECUTIONS
-        }
-        assert_round_exact(case, seed, results["reference"],
-                           results["dense"], "dense")
-        assert_round_exact(case, seed, results["reference"],
-                           results["sparse"], "sparse")
+        key = (case.name, seed)
+        if key not in _REFERENCE_RESULTS:
+            _REFERENCE_RESULTS[key] = run_case(case, seed, "reference")
+        assert_round_exact(
+            case, seed, _REFERENCE_RESULTS[key],
+            run_case(case, seed, "vectorized"), kernel,
+        )
 
 
 @pytest.mark.parametrize("case", case_params())
@@ -261,44 +262,52 @@ def test_dense_sparse_exact_under_decoupled_rng(case):
     # same hash at the same (trial, round, node) coordinates, so any
     # divergence is a kernel bug, not a randomness question.
     for seed in case.seeds:
-        dense = run_case(case, seed, "vectorized", "dense", rng="decoupled")
-        sparse = run_case(case, seed, "vectorized", "sparse", rng="decoupled")
+        dense = run_case(case, seed, "vectorized", rng="decoupled")
+        with on_kernel("sparse"):
+            sparse = run_case(case, seed, "vectorized", rng="decoupled")
         assert_round_exact(case, seed, dense, sparse, "sparse-decoupled")
+
+
+def test_kernel_boundary():
+    # The one kernel rule: dense up to and including 384 nodes, CSR
+    # from 385 on, whatever the graph's shape or the run's settings.
+    assert DENSE_NODE_CUTOFF == 384
+    assert kernel_for(384) == "dense" and kernel_for(385) == "sparse"
+    for n, expected in ((384, "dense"), (385, "sparse")):
+        engine = vectorized.VectorizedCompeteEngine(
+            topology.path_graph(n),
+            config=ExecutionConfig(backend="vectorized", rng="decoupled"),
+        )
+        assert engine.kernel == expected
 
 
 # ----------------------------------------------------------------------
 # Degenerate and boundary dynamics, across all three paths
 # ----------------------------------------------------------------------
-def _three_way_compete(graph, candidates, *, parameters=None,
-                       spontaneous=False, seed=0):
+def _compete_pair(graph, candidates, *, parameters=None, spontaneous=False,
+                  seed=0):
     return {
-        label: Compete(
+        backend: Compete(
             graph,
             parameters=parameters,
-            config=ExecutionConfig(backend=backend, engine=engine),
+            config=ExecutionConfig(backend=backend),
         ).run(candidates, seed=seed, spontaneous=spontaneous)
-        for label, backend, engine in EXECUTIONS
+        for backend in ("reference", "vectorized")
     }
 
 
 def _assert_all_equal(results):
-    reference = results["reference"]
-    for label in ("dense", "sparse"):
-        other = results[label]
-        assert reference.success == other.success, label
-        assert reference.winner == other.winner, label
-        assert reference.rounds == other.rounds, label
-        assert dict(reference.reception_rounds) == dict(
-            other.reception_rounds
-        ), label
-        assert dict(reference.final_messages) == dict(
-            other.final_messages
-        ), label
-        assert reference.metrics.as_dict() == other.metrics.as_dict(), label
+    reference, other = results["reference"], results["vectorized"]
+    assert reference.success == other.success
+    assert reference.winner == other.winner
+    assert reference.rounds == other.rounds
+    assert dict(reference.reception_rounds) == dict(other.reception_rounds)
+    assert dict(reference.final_messages) == dict(other.final_messages)
+    assert reference.metrics.as_dict() == other.metrics.as_dict()
     return reference
 
 
-def test_budget_exhaustion_agreement():
+def test_budget_exhaustion_agreement(kernel):
     # A schedule far too short to saturate must fail identically on all
     # three paths (same partial progress, same charged rounds).
     graph = topology.path_graph(12)
@@ -306,19 +315,19 @@ def test_budget_exhaustion_agreement():
         num_nodes=12, diameter=11, decay_steps=4, num_decay_rounds=2
     )
     for seed in range(4):
-        results = _three_way_compete(
+        results = _compete_pair(
             graph, {0: 1}, parameters=parameters, seed=seed
         )
         reference = _assert_all_equal(results)
         assert reference.rounds == parameters.total_rounds
 
 
-def test_no_candidates_agreement():
+def test_no_candidates_agreement(kernel):
     # The empty race charges the full (silent or dummy-only) schedule and
     # fails -- identically everywhere.
     graph = topology.star_graph(5)
     for spontaneous in (False, True):
-        results = _three_way_compete(
+        results = _compete_pair(
             graph, {}, spontaneous=spontaneous, seed=2
         )
         reference = _assert_all_equal(results)
@@ -326,39 +335,16 @@ def test_no_candidates_agreement():
         assert reference.winner is None
 
 
-def test_degenerate_saturation_agreement():
+def test_degenerate_saturation_agreement(kernel):
     # Single node, and every node already holding the winner: zero rounds
     # and zero traffic on all three paths.
     single = Graph(nodes=[0])
-    results = _three_way_compete(single, {0: 1}, seed=0)
+    results = _compete_pair(single, {0: 1}, seed=0)
     assert _assert_all_equal(results).rounds == 0
 
     clique = topology.complete_graph(4)
     winner = Message(value=9, source=0)
-    results = _three_way_compete(
+    results = _compete_pair(
         clique, {node: winner for node in clique.nodes()}, seed=1
     )
     assert _assert_all_equal(results).rounds == 0
-
-
-@pytest.mark.slow
-def test_dense_sparse_agree_beyond_reference_scale():
-    # Past n = 1024 the reference runner drops out of the loop; the two
-    # vectorized kernels must still agree batch-for-batch.  n = 2047 is
-    # above DENSE_NODE_CUTOFF, so this also exercises a forced dense
-    # engine on a graph the auto heuristic would route to sparse.
-    graph = topology.binary_tree_graph(10)  # n = 2047, D = 20
-    seeds = [0, 1, 2]
-    outcomes = {}
-    for engine in ("dense", "sparse"):
-        primitive = Compete(
-            graph, config=ExecutionConfig(backend="vectorized", engine=engine)
-        )
-        outcomes[engine] = primitive.run_batch(
-            {0: 1}, seeds=seeds, spontaneous=True
-        )
-    for fast, slow in zip(outcomes["sparse"], outcomes["dense"]):
-        assert fast.success and slow.success
-        assert fast.rounds == slow.rounds
-        assert dict(fast.reception_rounds) == dict(slow.reception_rounds)
-        assert fast.metrics.as_dict() == slow.metrics.as_dict()

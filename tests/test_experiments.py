@@ -115,21 +115,28 @@ def test_scenario_round_trips_through_dict():
     assert json.loads(json.dumps(TINY.to_dict())) == TINY.to_dict()
 
 
-def test_engine_field_round_trips_and_validates():
-    sparse = Scenario(
-        name="x-sparse", description="", family="path",
-        topology_args={"num_nodes": 8}, algorithm="broadcast",
-        engine="sparse",
-    )
-    assert Scenario.from_dict(sparse.to_dict()).engine == "sparse"
-    # Dicts without an engine key (pre-PR-4 artifacts) default to auto.
-    legacy = sparse.to_dict()
-    del legacy["engine"]
-    assert Scenario.from_dict(legacy).engine == "auto"
-    with pytest.raises(ConfigurationError, match="engine"):
-        Scenario(name="x", description="", family="path",
-                 topology_args={"num_nodes": 8}, algorithm="broadcast",
-                 engine="gpu")
+@pytest.mark.parametrize("label", ["auto", "dense", "sparse", None])
+def test_legacy_engine_label_loads_and_is_dropped(label):
+    # Older scenario blocks name an engine; the label is validated and
+    # dropped (the kernel follows from n), so every spelling -- and a
+    # block without the key -- loads to the same scenario and config.
+    block = TINY.to_dict()
+    assert block["engine"] == "auto"  # the schema's legacy slot
+    if label is None:
+        del block["engine"]
+    else:
+        block["engine"] = label
+    scenario = Scenario.from_dict(block)
+    assert scenario == TINY
+    assert scenario.to_dict() == TINY.to_dict()
+    assert scenario.execution_config() == TINY.execution_config()
+
+
+def test_unknown_engine_label_is_a_one_line_error():
+    block = dict(TINY.to_dict(), engine="gpu")
+    with pytest.raises(ConfigurationError, match="engine") as raised:
+        Scenario.from_dict(block)
+    assert "\n" not in str(raised.value)
 
 
 def test_rng_field_round_trips_and_validates():
@@ -221,9 +228,9 @@ def test_decoupled_regime_scenarios_are_registered():
 
 
 def test_sparse_regime_scenarios_are_registered():
-    # The n >= 4096 sweep the sparse engine opens: path/grid/tree/gnp at
-    # both scales, auto engine (the density heuristic selects sparse),
-    # never tagged smoke (CI runs them via the dedicated sparse step).
+    # The n >= 4096 sweep the CSR kernel opens: path/grid/tree/gnp at
+    # both scales, never tagged smoke (CI runs them via the dedicated
+    # sparse step).
     names = [
         "broadcast-path-n4096", "broadcast-grid-n4096",
         "broadcast-tree-n4095", "broadcast-gnp-n4096",
@@ -232,7 +239,6 @@ def test_sparse_regime_scenarios_are_registered():
     ]
     for name in names:
         scenario = get_scenario(name)
-        assert scenario.engine == "auto"
         assert "sparse" in scenario.tags
         assert "smoke" not in scenario.tags
         assert ("xlarge" in scenario.tags) == ("n16384" in name
@@ -386,18 +392,14 @@ def test_run_benchmark_clustered_strategy_agrees_with_reference():
     assert payload["results"]["success_rate"] == 1.0
 
 
-def test_run_benchmark_forced_sparse_engine_agrees_with_reference():
-    # Forcing the CSR kernel on a small scenario keeps the reference
-    # agreement pass in the loop -- a sparse-engine drift would raise
-    # SimulationError here -- and the payload records the override.
-    payload = run_benchmark(
-        TINY, reference_trials=2, config=TINY.execution_config(engine="sparse")
-    )
+def test_run_benchmark_records_the_kernel(kernel):
+    # On either kernel the reference agreement pass stays in the loop --
+    # a kernel drift would raise SimulationError here -- and the
+    # payload records the kernel that ran.
+    payload = run_benchmark(TINY, reference_trials=2)
     validate_bench(payload)
-    assert payload["engine"] == {"requested": "sparse", "selected": "sparse"}
+    assert payload["engine"] == {"requested": "auto", "selected": kernel}
     assert payload["agreement"]["round_exact"] is True
-    with pytest.raises(ConfigurationError, match="engine"):
-        run_benchmark(TINY, config=TINY.execution_config(engine="gpu"))
 
 
 def test_run_benchmark_without_reference():
@@ -609,18 +611,59 @@ def test_cli_seeds_flag(tmp_path, capsys):
     assert payload["trials"]["seed_batches"] == 2
 
 
-def test_cli_engine_flag(tmp_path, capsys):
+def test_cli_reports_the_kernel_and_has_no_engine_flag(tmp_path, capsys):
     out_dir = str(tmp_path / "bench")
     assert main([
         "run", "broadcast-path-n32",
-        "--trials", "2", "--engine", "sparse", "--reference-trials", "1",
-        "--out", out_dir,
+        "--trials", "2", "--reference-trials", "1", "--out", out_dir,
     ]) == 0
-    assert "sparse engine" in capsys.readouterr().out
+    assert "dense engine" in capsys.readouterr().out
     payload = json.loads(
         (tmp_path / "bench" / "BENCH_broadcast-path-n32.json").read_text()
     )
-    assert payload["engine"] == {"requested": "sparse", "selected": "sparse"}
+    assert payload["engine"] == {"requested": "auto", "selected": "dense"}
+    with pytest.raises(SystemExit) as raised:
+        main(["run", "broadcast-path-n32", "--engine", "sparse"])
+    assert raised.value.code == 2
+    assert "--engine" in capsys.readouterr().err
+
+
+def test_cli_loads_legacy_engine_labels(tmp_path, capsys):
+    # Artifacts written before the kernel became a function of n name
+    # a kernel in both engine slots; the CLI keeps loading them, and an
+    # unknown label is a one-line error, never a traceback.
+    payload = run_benchmark(TINY, include_reference=False)
+    for label in ("auto", "dense"):
+        legacy = copy.deepcopy(payload)
+        legacy["scenario"]["engine"] = label
+        legacy["engine"]["requested"] = label
+        path = tmp_path / label / bench_filename(TINY.name)
+        path.parent.mkdir()
+        path.write_text(json.dumps(legacy))
+        assert main(["validate", str(path)]) == 0
+    assert main([
+        "report", str(tmp_path / "dense"), "--against", str(tmp_path / "auto"),
+        "--out", str(tmp_path / "report.md"),
+    ]) == 0
+    capsys.readouterr()
+    broken = copy.deepcopy(payload)
+    broken["scenario"]["engine"] = "gpu"
+    path = tmp_path / bench_filename(TINY.name)
+    path.write_text(json.dumps(broken))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "scenario.engine" in err and "Traceback" not in err
+
+
+def test_cli_loads_every_committed_artifact(capsys):
+    # Every committed scenario block -- legacy engine labels included --
+    # loads through the CLI's validate and report paths.
+    paths = sorted((REPO_ROOT / "benchmarks").glob("BENCH_*.json"))
+    assert main(["validate", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.count(": valid (") == len(paths)
+    benchmarks = str(REPO_ROOT / "benchmarks")
+    assert main(["report", benchmarks, "--against", benchmarks]) == 0
 
 
 def test_cli_rng_and_workers_flags(tmp_path, capsys):

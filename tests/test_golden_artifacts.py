@@ -21,7 +21,11 @@ module treats each one as a golden file:
   definition, so a registry edit cannot silently orphan a baseline;
 * its topology block must reproduce from the persisted generator
   arguments (the scenario block is documented as rebuilding the
-  topology *exactly*; large-``n`` rebuilds carry the ``slow`` marker).
+  topology *exactly*; large-``n`` rebuilds carry the ``slow`` marker);
+* every replay artifact up to ``n = 4096`` must reproduce its
+  ``results.per_trial`` series exactly when re-run at its recorded
+  trials and seed (``slow`` tier): replay runs are seed-deterministic
+  and kernel-independent, so any drift is a behavioural change.
 """
 
 import json
@@ -36,6 +40,7 @@ from repro.experiments import (
     bench_filename,
     get_scenario,
     load_bench,
+    run_benchmark,
     validate_bench,
 )
 from repro.experiments.scenarios import Scenario
@@ -55,13 +60,17 @@ ALL_PATHS = ARTIFACT_PATHS + LEGACY_PATHS
 #: (exact-diameter verification is O(n*m); CI runs it once per push).
 _FAST_REBUILD_NODES = 2000
 
+#: Largest node count whose replay artifacts are re-run in full.
+_RERUN_NODES = 4096
+
 #: The scenario-block fields that define what an artifact *measures*;
 #: they must agree with the current registry definition.  Presentation
-#: fields (description, tags) may drift without orphaning a baseline.
+#: fields (description, tags) and the legacy ``engine`` label (the
+#: kernel follows from the node count) may drift without orphaning a
+#: baseline.
 _IDENTITY_FIELDS = (
     "family", "topology_args", "algorithm", "collision_model",
-    "spontaneous", "strategy", "engine", "rng", "margin", "seed",
-    "dynamics",
+    "spontaneous", "strategy", "rng", "margin", "seed", "dynamics",
 )
 
 
@@ -203,3 +212,28 @@ def test_topology_block_reproduces_from_scenario(path, payloads):
     assert graph.max_degree() == recorded["max_degree"]
     summary = summarize_topology(graph)
     assert summary.diameter == recorded["diameter"]
+
+
+def _rerun_params():
+    for path in ARTIFACT_PATHS:
+        payload = json.loads(path.read_text())
+        if (payload.get("rng", "replay") == "replay"
+                and payload["topology"]["num_nodes"] <= _RERUN_NODES):
+            yield pytest.param(path, id=_param_id(path),
+                               marks=pytest.mark.slow)
+
+
+@pytest.mark.parametrize("path", _rerun_params())
+def test_replay_per_trial_series_reproduces(path, payloads):
+    payload = payloads[path]
+    trials = payload["trials"]
+    rerun = run_benchmark(
+        Scenario.from_dict(payload["scenario"]),
+        trials=trials["per_batch"],
+        seed_batches=trials["seed_batches"],
+        seed=trials["base_seed"],
+        include_reference=False,
+    )
+    # Through JSON, like the committed file, so floats compare exactly.
+    per_trial = json.loads(json.dumps(rerun["results"]["per_trial"]))
+    assert per_trial == payload["results"]["per_trial"]

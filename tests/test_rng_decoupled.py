@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from conftest import on_kernel
 from stats import ks_2samp, mann_whitney_u
 from repro import topology
 from repro.api import DEFAULT_ALGORITHMS, ExecutionConfig
@@ -64,12 +65,12 @@ BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 @dataclasses.dataclass(frozen=True)
 class Cell:
-    """One (topology x strategy x engine) distributional-agreement cell."""
+    """One (topology x strategy x kernel) distributional-agreement cell."""
 
     name: str
     factory: Callable[[], Graph]
     strategy: str = "skeleton"
-    engine: str = "dense"
+    kernel: str = "dense"
     algorithm: str = "broadcast"
 
 
@@ -79,12 +80,12 @@ class Cell:
 CELLS = [
     Cell("grid-skeleton-dense", lambda: topology.grid_graph(8, 8)),
     Cell("grid-clustered-sparse", lambda: topology.grid_graph(8, 8),
-         strategy="clustered", engine="sparse"),
+         strategy="clustered", kernel="sparse"),
     Cell("path-skeleton-dense", lambda: topology.path_graph(48)),
     Cell("path-clustered-sparse", lambda: topology.path_graph(48),
-         strategy="clustered", engine="sparse"),
+         strategy="clustered", kernel="sparse"),
     Cell("star-skeleton-sparse", lambda: topology.star_graph(48),
-         engine="sparse"),
+         kernel="sparse"),
     Cell("tree-clustered-dense", lambda: topology.binary_tree_graph(5),
          strategy="clustered"),
     Cell("gnp-skeleton-dense",
@@ -97,16 +98,16 @@ def completion_rounds(cell: Cell, rng: str, seed_base: int, trials: int):
     graph = cell.factory()
     config = ExecutionConfig(
         backend="vectorized",
-        engine=cell.engine,
         strategy=cell.strategy,
         rng=rng,
     )
-    results = DEFAULT_ALGORITHMS.run_batch(
-        cell.algorithm,
-        graph,
-        seeds=[seed_base + index for index in range(trials)],
-        config=config,
-    )
+    with on_kernel(cell.kernel):
+        results = DEFAULT_ALGORITHMS.run_batch(
+            cell.algorithm,
+            graph,
+            seeds=[seed_base + index for index in range(trials)],
+            config=config,
+        )
     assert all(result.success for result in results), (
         f"{cell.name} rng={rng}: a trial failed to complete -- the "
         "distributional comparison below would be meaningless"
@@ -177,8 +178,7 @@ def test_election_cell_distributional_agreement():
         ("replay", REPLAY_SEED_BASE), ("decoupled", DECOUPLED_SEED_BASE)
     ):
         config = ExecutionConfig(
-            backend="vectorized", engine=cell.engine,
-            strategy=cell.strategy, rng=rng,
+            backend="vectorized", strategy=cell.strategy, rng=rng,
         )
         results = DEFAULT_ALGORITHMS.run_batch(
             "leader-election", graph,

@@ -1,25 +1,20 @@
-"""The CSR substrate: Graph.adjacency_csr, CSRAdjacency, engine selection.
+"""The CSR substrate: Graph.adjacency_csr and the CSRAdjacency kernel.
 
 Property-style: randomized graphs are converted both ways and the CSR
-form must round-trip against the dense adjacency matrix exactly --
-including the degenerate shapes (single node, isolated nodes, empty edge
-set) the reduceat-based segment-sum kernel is most likely to mishandle.
+form must round-trip against the dense adjacency matrix exactly, and the
+reception kernel must match the dense matrix products on generated
+graphs -- including the degenerate shapes (single node, isolated nodes,
+empty edge set) an index-expansion kernel is most likely to mishandle.
 """
 
 import numpy as np
 import pytest
 
+from conftest import on_kernel
 from repro import topology
 from repro.errors import ConfigurationError, GraphError
 from repro.network.graph import Graph
-from repro.simulation.sparse import (
-    DENSE_NODE_CUTOFF,
-    SPARSE_DENSITY_CUTOFF,
-    CSRAdjacency,
-    edge_density,
-    select_engine,
-    sparse_crossover_edges,
-)
+from repro.simulation.sparse import CSRAdjacency
 
 
 # ----------------------------------------------------------------------
@@ -124,12 +119,13 @@ def test_engine_over_mutated_graph_sees_fresh_csr():
     from repro.core.broadcast import broadcast
 
     mutated = topology.path_graph(9)
-    config = ExecutionConfig(backend="vectorized", engine="sparse")
-    before = broadcast(mutated, source=0, seed=3, config=config)
-    mutated.add_edge(0, 8)
-    after = broadcast(mutated, source=0, seed=3, config=config)
-    fresh = Graph(nodes=mutated.nodes(), edges=mutated.edges())
-    control = broadcast(fresh, source=0, seed=3, config=config)
+    config = ExecutionConfig(backend="vectorized")
+    with on_kernel("sparse"):
+        before = broadcast(mutated, source=0, seed=3, config=config)
+        mutated.add_edge(0, 8)
+        after = broadcast(mutated, source=0, seed=3, config=config)
+        fresh = Graph(nodes=mutated.nodes(), edges=mutated.edges())
+        control = broadcast(fresh, source=0, seed=3, config=config)
     assert after.rounds == control.rounds
     assert dict(after.reception_rounds) == dict(control.reception_rounds)
     assert after.metrics.as_dict() == control.metrics.as_dict()
@@ -161,106 +157,63 @@ def test_csr_adjacency_validation():
         CSRAdjacency(np.array([0, 1]), np.array([5]))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_counts_and_rank_sums_match_dense_matmul(seed):
-    # The kernel behind the sparse engine, checked against the dense
-    # formulation on random transmit patterns and ranks -- including a
-    # graph with isolated nodes (empty CSR rows).
+def kernel_inputs(seed):
+    """A small graph (isolated nodes allowed) plus one round's inputs."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 30))
-    graph = Graph(nodes=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.2:
-                graph.add_edge(u, v)
-    csr, nodes = CSRAdjacency.from_graph(graph)
-    dense, _ = graph.adjacency_matrix()
-    dense_f = dense.astype(np.float64)
-
-    trials = 4
-    transmit = rng.random((trials, n)) < 0.4
-    ranks = rng.integers(0, n, size=(trials, n)).astype(np.int64)
-    counts, sums = csr.counts_and_rank_sums(transmit, ranks)
-    expected_counts = (transmit.astype(np.float64) @ dense_f).astype(np.int64)
-    expected_sums = (
-        (transmit * ranks).astype(np.float64) @ dense_f
-    ).astype(np.int64)
-    assert counts.dtype == np.int64 and sums.dtype == np.int64
-    assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(sums, expected_sums)
+    n = int(rng.integers(1, 17))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # Edge counts from zero to complete, so isolated nodes are common.
+    chosen = rng.permutation(len(pairs))[:int(rng.integers(0, len(pairs) + 1))]
+    edges = [pairs[index] for index in sorted(chosen)]
+    graph = Graph(nodes=range(n), edges=edges)
+    trials = int(rng.integers(1, 4))
+    transmit = rng.random((trials, n)) < rng.uniform(0.05, 0.95)
+    ranks = rng.integers(0, 4 * n + 1, size=(trials, n), dtype=np.int64)
+    entry_mask = (
+        None if rng.random() < 0.5
+        else rng.random(2 * len(edges)) < rng.uniform(0.2, 1.0)
+    )
+    return graph, transmit, ranks, entry_mask
 
 
-def test_counts_on_edgeless_graph_are_zero():
-    csr, _ = CSRAdjacency.from_graph(Graph(nodes=range(4)))
-    transmit = np.ones((2, 4), dtype=bool)
-    ranks = np.arange(8, dtype=np.int64).reshape(2, 4)
-    counts, sums = csr.counts_and_rank_sums(transmit, ranks)
-    assert not counts.any() and not sums.any()
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_transmitter_kernel_is_identical_to_all_edges_kernel(seed):
-    # The transmitter-driven kernel (the decoupled-rng hot path) must be
-    # bit-identical to the all-edges gather on every input -- it is an
-    # optimization, never an approximation.  Random graphs with isolated
-    # nodes, random transmit patterns from empty to full.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 40))
-    graph = Graph(nodes=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.15:
-                graph.add_edge(u, v)
+@pytest.mark.parametrize("seed", range(200))
+def test_kernel_matches_dense_products(seed):
+    # The CSR reception kernel against the dense formulation: counts
+    # must equal transmit @ A exactly, and wherever exactly one
+    # neighbour transmits the received rank must be that neighbour's
+    # rank (the rank-sum product at count one).  Down entries of the
+    # mask drop out of both.
+    graph, transmit, ranks, entry_mask = kernel_inputs(seed)
     csr, _ = CSRAdjacency.from_graph(graph)
-    trials = 3
-    ranks = rng.integers(0, 10 * n, size=(trials, n)).astype(np.int64)
-    for density in (0.0, 0.05, 0.5, 1.0):
-        transmit = rng.random((trials, n)) < density
-        expected = csr.counts_and_rank_sums(transmit, ranks)
-        actual = csr.transmitter_counts_and_rank_sums(transmit, ranks)
-        assert actual[0].dtype == np.int64 and actual[1].dtype == np.int64
-        assert np.array_equal(actual[0], expected[0])
-        assert np.array_equal(actual[1], expected[1])
+    n = csr.num_nodes
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    up = (
+        np.ones(csr.num_entries, dtype=bool)
+        if entry_mask is None else entry_mask
+    )
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    adjacency[rows[up], csr.indices[up]] = 1
+
+    counts, received = csr.counts_and_ranks(transmit, ranks, entry_mask)
+    assert counts.dtype == np.int64 and received.dtype == np.int64
+    assert counts.shape == received.shape == transmit.shape
+    assert np.array_equal(counts, transmit.astype(np.int64) @ adjacency)
+    rank_sums = (transmit * ranks) @ adjacency
+    unique = counts == 1
+    assert np.array_equal(received[unique], rank_sums[unique])
+    assert not received[counts == 0].any()
 
 
-def test_transmitter_kernel_empty_and_edgeless_cases():
+def test_kernel_empty_and_edgeless_cases():
     # No transmitters at all: the early-out path.
     csr, _ = CSRAdjacency.from_graph(topology.path_graph(5))
     silent = np.zeros((2, 5), dtype=bool)
     ranks = np.arange(10, dtype=np.int64).reshape(2, 5)
-    counts, sums = csr.transmitter_counts_and_rank_sums(silent, ranks)
-    assert not counts.any() and not sums.any()
+    counts, received = csr.counts_and_ranks(silent, ranks)
+    assert not counts.any() and not received.any()
     assert counts.shape == (2, 5)
-    # Transmitters whose CSR rows are all empty: the total==0 path.
+    # Transmitters whose CSR rows are all empty: nothing to scatter.
     edgeless, _ = CSRAdjacency.from_graph(Graph(nodes=range(5)))
     loud = np.ones((2, 5), dtype=bool)
-    counts, sums = edgeless.transmitter_counts_and_rank_sums(loud, ranks)
-    assert not counts.any() and not sums.any()
-
-
-# ----------------------------------------------------------------------
-# engine selection heuristic
-# ----------------------------------------------------------------------
-def test_edge_density():
-    assert edge_density(4, 3) == 0.5
-    assert edge_density(1, 0) == 1.0
-    assert edge_density(0, 0) == 1.0
-    with pytest.raises(ConfigurationError):
-        edge_density(-1, 0)
-
-
-def test_select_engine_heuristic():
-    # Small graphs are always dense, whatever their shape.
-    assert select_engine(8, 7) == "dense"
-    assert select_engine(DENSE_NODE_CUTOFF, DENSE_NODE_CUTOFF - 1) == "dense"
-    # Large sparse graphs go sparse; large dense graphs stay dense.
-    # sparse_crossover_edges is the canonical boundary: one edge below
-    # it is the last sparse count, at it the heuristic flips to dense.
-    n = DENSE_NODE_CUTOFF + 1
-    assert select_engine(n, n) == "sparse"  # density ~ 2/n
-    crossover = sparse_crossover_edges(n)
-    assert select_engine(n, crossover - 1) == "sparse"
-    assert select_engine(n, crossover) == "dense"
-    assert select_engine(16384, 16383) == "sparse"  # the ROADMAP regime
-    with pytest.raises(ConfigurationError):
-        sparse_crossover_edges(1)
+    counts, received = edgeless.counts_and_ranks(loud, ranks)
+    assert not counts.any() and not received.any()

@@ -17,6 +17,7 @@ from repro.core.compete import Compete
 from repro.core.parameters import CompeteParameters
 from repro.errors import ConfigurationError
 from repro.network.messages import Message
+from repro.schedules.transmission import uniform_decay_schedule
 from repro.simulation.vectorized import (
     NO_MESSAGE,
     VectorizedCompeteEngine,
@@ -41,13 +42,10 @@ def assert_same_compete_result(reference, vectorized, context=""):
     ), context
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_run_batch_matches_individual_runs(engine):
+def test_run_batch_matches_individual_runs(kernel):
     graph = topology.grid_graph(4, 5)
-    primitive = Compete(graph, config=ExecutionConfig(engine=engine))
-    fast = Compete(
-        graph, config=ExecutionConfig(backend="vectorized", engine=engine)
-    )
+    primitive = Compete(graph)
+    fast = Compete(graph, config=ExecutionConfig(backend="vectorized"))
     candidates = {0: 5, 19: 9}
     seeds = [0, 1, 2, 3, 4]
     batch = primitive.run_batch(candidates, seeds=seeds, spontaneous=True)
@@ -59,8 +57,7 @@ def test_run_batch_matches_individual_runs(engine):
         assert_same_compete_result(single_vec, batched, f"seed={seed}")
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_engine_draw_block_size_is_invisible(engine):
+def test_engine_draw_block_size_is_invisible(kernel):
     # The pre-draw block size is an implementation detail; shrinking it to
     # force mid-run refills must not change any outcome array.
     graph = topology.grid_graph(4, 4)
@@ -72,10 +69,11 @@ def test_engine_draw_block_size_is_invisible(engine):
     for block in (2, 64, 4096):
         engine_obj = VectorizedCompeteEngine(
             graph,
-            decay_steps=parameters.decay_steps,
+            schedule=uniform_decay_schedule(
+                graph.nodes(), parameters.decay_steps
+            ),
             max_rounds=parameters.total_rounds,
             draw_block=block,
-            engine=engine,
         )
         outcomes.append(engine_obj.run_batch(ranks.copy(), 1, seeds))
     first = outcomes[0]
@@ -88,63 +86,47 @@ def test_engine_draw_block_size_is_invisible(engine):
 
 def test_engine_input_validation():
     graph = topology.path_graph(4)
-    engine = VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=10)
+    schedule = uniform_decay_schedule(graph.nodes(), 2)
+    engine = VectorizedCompeteEngine(graph, schedule=schedule, max_rounds=10)
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.zeros((2, 3), dtype=int), None, [0, 1])
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.zeros((2, 4), dtype=int), None, [0])
     with pytest.raises(ConfigurationError):
         engine.run_batch(np.full((1, 4), -1), None, [0])
-    with pytest.raises(ConfigurationError):
-        VectorizedCompeteEngine(graph, decay_steps=0, max_rounds=1)
-    with pytest.raises(ConfigurationError, match="engine"):
-        VectorizedCompeteEngine(graph, decay_steps=2, max_rounds=1,
-                                engine="quantum")
+    with pytest.raises(ConfigurationError, match="schedule"):
+        VectorizedCompeteEngine(graph, max_rounds=1)
+    with pytest.raises(ConfigurationError, match="max_rounds"):
+        VectorizedCompeteEngine(graph, schedule=schedule, max_rounds=-1)
     with pytest.raises(ConfigurationError):
         Compete(graph, config=ExecutionConfig(backend="warp-drive"))
-    with pytest.raises(ConfigurationError, match="engine"):
-        Compete(graph, config=ExecutionConfig(engine="warp-core"))
-    with pytest.raises(ConfigurationError, match="config"):
-        # config= and a legacy kwarg cannot be mixed.
-        Compete(graph, config=ExecutionConfig(), backend="vectorized")
-
-
-def test_engine_selection_is_visible():
-    graph = topology.path_graph(6)
-    assert VectorizedCompeteEngine(
-        graph, decay_steps=2, max_rounds=4
-    ).engine == "dense"  # auto on a small graph
-    assert VectorizedCompeteEngine(
-        graph, decay_steps=2, max_rounds=4, engine="sparse"
-    ).engine == "sparse"
-    primitive = Compete(graph, config=ExecutionConfig(engine="sparse"))
-    assert primitive.engine == "sparse"
-    assert primitive.selected_engine() == "sparse"
-    assert Compete(graph).selected_engine() == "dense"
-    assert VectorizedCompeteEngine(
-        graph, config=ExecutionConfig(engine="sparse")
-    ).engine == "sparse"
     with pytest.raises(ConfigurationError, match="config"):
         VectorizedCompeteEngine(
             graph, config=ExecutionConfig(), max_rounds=4
         )
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
-def test_engine_cache_tracks_graph_mutation(engine):
+def test_engine_reports_its_kernel(kernel):
+    graph = topology.path_graph(6)
+    schedule = uniform_decay_schedule(graph.nodes(), 2)
+    assert VectorizedCompeteEngine(
+        graph, schedule=schedule, max_rounds=4
+    ).kernel == kernel
+    assert VectorizedCompeteEngine(
+        graph, config=ExecutionConfig(backend="vectorized")
+    ).kernel == kernel
+
+
+def test_engine_cache_tracks_graph_mutation(kernel):
     # The cached engine snapshots the adjacency structure; mutating the
     # graph between runs must rebuild it so both backends keep seeing
     # the same (live) topology.
     graph = topology.path_graph(8)
-    primitive = Compete(
-        graph, config=ExecutionConfig(backend="vectorized", engine=engine)
-    )
+    primitive = Compete(graph, config=ExecutionConfig(backend="vectorized"))
     before = primitive.run({0: 1}, seed=3, spontaneous=True)
     graph.add_edge(0, 7)  # diameter collapses; propagation changes
     after = primitive.run({0: 1}, seed=3, spontaneous=True)
-    reference = Compete(
-        graph, config=ExecutionConfig(engine=engine)
-    ).run({0: 1}, seed=3, spontaneous=True)
+    reference = Compete(graph).run({0: 1}, seed=3, spontaneous=True)
     assert_same_compete_result(reference, after, "post-mutation")
     assert dict(before.reception_rounds) != dict(after.reception_rounds)
 
